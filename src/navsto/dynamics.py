@@ -212,11 +212,16 @@ def _w_weights(cfg: SimConfig, tab) -> np.ndarray:
     return tab.lam ** (2.0 * theta(cfg.alpha0))
 
 
-def _norm_sq(coeffs: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def _norm_sq(coeffs: np.ndarray, *weights):
+    """Per-path 2 sum_k w_k |u_k|^2 for each weight vector w (None: unweighted).
+
+    |u_k|^2 is formed once and shared by all the sums.  With at most one
+    weight the sum itself comes back, otherwise a tuple in the given order.
+    """
     mag = (coeffs.real**2 + coeffs.imag**2).sum(axis=-1)
-    if weights is None:
-        return 2.0 * mag.sum(axis=-1)
-    return 2.0 * (mag * weights).sum(axis=-1)
+    sums = tuple(2.0 * (mag if w is None else mag * w).sum(axis=-1)
+                 for w in weights or (None,))
+    return sums[0] if len(sums) == 1 else sums
 
 
 def _chi_of(cfg: SimConfig, w2: np.ndarray) -> np.ndarray:
@@ -302,9 +307,7 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
 
     use_b = cfg.mode != "stokes"
     for s in range(S + 1):
-        h2[:, s] = _norm_sq(u)
-        v2[:, s] = _norm_sq(u, lam)
-        w2[:, s] = _norm_sq(u, w_w)
+        h2[:, s], v2[:, s], w2[:, s] = _norm_sq(u, None, lam, w_w)
         if n_phi:
             for j, phi in enumerate(phis):
                 proj[j, :, s] = pair_with(u, phi.coeffs)
@@ -518,7 +521,7 @@ def solve_auxiliary_v(u0: SpectralField, z_series: np.ndarray, cfg: SimConfig) -
     series = np.empty((S + 1, tab.n_modes, 3), dtype=np.complex128)
     blown, blow_step = False, -1
     for s in range(S + 1):
-        h2[s] = _norm_sq(v)[0]; v2[s] = _norm_sq(v, lam)[0]; w2[s] = _norm_sq(v, w_w)[0]
+        h2[s], v2[s], w2[s] = (x[0] for x in _norm_sq(v, None, lam, w_w))
         series[s] = v[0]
         if s == S:
             break
@@ -699,7 +702,7 @@ def solve_controlled(x: SpectralField, w_increments: np.ndarray, R: float,
     series = np.empty((S + 1, tab.n_modes, 3), dtype=np.complex128)
     blown, blow_step = False, -1
     for s in range(S + 1):
-        h2[s] = _norm_sq(u)[0]; v2[s] = _norm_sq(u, tab.lam)[0]; w2[s] = _norm_sq(u, w_w)[0]
+        h2[s], v2[s], w2[s] = (x[0] for x in _norm_sq(u, None, tab.lam, w_w))
         series[s] = u[0]
         if s == S:
             break

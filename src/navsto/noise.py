@@ -26,7 +26,6 @@ ALPHA0_MIN = 1.0 / 6.0
 # draw kinds (third counter word) so distinct uses never collide
 KIND_WIENER = 1
 KIND_OU = 2
-KIND_INIT = 3
 
 
 class DegenerateNoiseError(ValueError):

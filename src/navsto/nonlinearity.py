@@ -13,7 +13,8 @@ the direct route exists so the fast one never verifies itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import fft as sfft
@@ -32,9 +33,18 @@ class PaddingError(ValueError):
     """Configured padding factor cannot dealias the quadratic product."""
 
 
-#: threads per FFT call; worker pools set this to 1 in children to avoid
-#: oversubscription (results are independent of the setting)
+#: threads per B kernel call (-1: all cores, as in scipy.fft): batches larger
+#: than one tile run their path tiles on this many threads, smaller ones hand
+#: it to the FFT calls.  Worker pools set it to 1 in children to avoid
+#: oversubscription.  Output bytes depend on neither this setting nor the tile
+#: size, because every path's arithmetic touches only its own slice.
 FFT_WORKERS = -1
+
+#: cache budget for one tile's pointwise products; the tile size follows from
+#: it and the input's shape alone
+TILE_BYTES = 3 << 20
+
+_tile_pool_by_pid: tuple | None = None   # (pid, threads, executor)
 
 
 def set_fft_workers(n: int) -> None:
@@ -122,13 +132,13 @@ def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int,
     if workers is None:
         workers = FFT_WORKERS
     axes = (-3, -2, -1)
-    _, _, _, _, kx, ky, kz = table.pad_layout(grid)
+    lay = table.pad_layout(grid)
     u_hat = _scatter_half(uc, table, grid)
     # physical fields carry a 1/grid^3 factor that is repaid at the gather
     u_phys = sfft.irfftn(u_hat, s=(grid, grid, grid), axes=axes, workers=workers)
     v_hat = _scatter_half(vc, table, grid)
     w = None
-    for a, ka in enumerate((kx, ky, kz)):
+    for a, ka in enumerate((lay.kx, lay.ky, lay.kz)):
         dva = sfft.irfftn(v_hat * (TWO_PI * 1j * ka), s=(grid, grid, grid),
                           axes=axes, workers=workers)
         term = u_phys[..., a:a + 1, :, :, :] * dva
@@ -174,15 +184,61 @@ def _gather_half_scalar(z: np.ndarray, table: ModeTable, grid: int) -> np.ndarra
     return out
 
 
-def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int,
-                 workers: int | None = None) -> np.ndarray:
-    """B(u, u) in divergence form: 2 pi i k_a (u_a u_j)^ then Leray.
+# -- path tiling ----------------------------------------------------------------
 
-    Exactly equals the convective form for divergence-free u (the extra
-    triad factor u_l . l vanishes), at 9 transforms instead of 15.
+def tile_paths(n_products: int, grid: int, itemsize: int) -> int:
+    """Paths per tile: as many as keep n_products real grids within TILE_BYTES."""
+    return max(1, TILE_BYTES // (n_products * grid**3 * itemsize))
+
+
+def _tile_pool(threads: int) -> ThreadPoolExecutor:
+    """This process's tile pool; a forked child never reuses its parent's."""
+    global _tile_pool_by_pid
+    key = (os.getpid(), threads)
+    if _tile_pool_by_pid is None or _tile_pool_by_pid[:2] != key:
+        if _tile_pool_by_pid is not None and _tile_pool_by_pid[0] == key[0]:
+            _tile_pool_by_pid[2].shutdown(wait=False)
+        _tile_pool_by_pid = key + (ThreadPoolExecutor(threads),)
+    return _tile_pool_by_pid[2]
+
+
+def _path_tiled(kernel, fields: tuple, n_products: int, table: ModeTable, grid: int,
+                workers: int | None) -> tuple:
+    """Run kernel(*fields, table, grid, workers) over tiles of the path axis.
+
+    The kernel returns one (..., K, 3) array per six products.  Batch-1 calls
+    and batches of at most one tile run untiled with `workers` FFT threads;
+    larger (P, K, 3) batches run their tiles on `workers` threads, each tile
+    with single-threaded FFTs writing its own slice of the outputs.
     """
     if workers is None:
         workers = FFT_WORKERS
+    first = fields[0]
+    tile = tile_paths(n_products, grid, first.real.itemsize)
+    if (first.ndim != 3 or first.shape[0] <= tile
+            or any(f.shape != first.shape for f in fields)):
+        return kernel(*fields, table, grid, workers)
+    table.pad_layout(grid)   # fill the layout cache before the threads read it
+    outs = tuple(np.empty_like(first) for _ in range(n_products // 6))
+
+    def run(lo: int) -> None:
+        for out, part in zip(outs, kernel(*(f[lo:lo + tile] for f in fields),
+                                          table, grid, 1)):
+            out[lo:lo + tile] = part
+
+    starts = range(0, first.shape[0], tile)
+    threads = workers if workers > 0 else (os.cpu_count() or 1) + 1 + workers
+    if threads > 1:
+        list(_tile_pool(threads).map(run, starts))
+    else:
+        for lo in starts:
+            run(lo)
+    return outs
+
+
+# -- divergence-form kernels ----------------------------------------------------
+
+def _self_tile(uc, table, grid, workers):
     axes = (-3, -2, -1)
     u_hat = _scatter_half(uc, table, grid)
     up = sfft.irfftn(u_hat, s=(grid, grid, grid), axes=axes, workers=workers)
@@ -191,14 +247,20 @@ def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int,
     for i, (a, b) in enumerate(_PROD_PAIRS):
         np.multiply(up[..., a, :, :, :], up[..., b, :, :, :], out=prods[..., i, :, :, :])
     p_modes = _products_to_modes(prods, table, grid, workers)
-    return leray_project(_divergence_form_contract(p_modes, table), table)
+    return (leray_project(_divergence_form_contract(p_modes, table), table),)
 
 
-def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
-                    workers: int | None = None) -> np.ndarray:
-    """B(y, u) + B(u, y) in divergence form (both fields divergence-free)."""
-    if workers is None:
-        workers = FFT_WORKERS
+def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int,
+                 workers: int | None = None) -> np.ndarray:
+    """B(u, u) in divergence form: 2 pi i k_a (u_a u_j)^ then Leray.
+
+    Exactly equals the convective form for divergence-free u (the extra
+    triad factor u_l . l vanishes), at 9 transforms instead of 15.
+    """
+    return _path_tiled(_self_tile, (uc,), 6, table, grid, workers)[0]
+
+
+def _linpair_tile(uc, yc, table, grid, workers):
     axes = (-3, -2, -1)
     up = sfft.irfftn(_scatter_half(uc, table, grid), s=(grid, grid, grid),
                      axes=axes, workers=workers)
@@ -210,14 +272,16 @@ def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
         prods[..., i, :, :, :] = (up[..., a, :, :, :] * yp[..., b, :, :, :]
                                   + yp[..., a, :, :, :] * up[..., b, :, :, :])
     p_modes = _products_to_modes(prods, table, grid, workers)
-    return leray_project(_divergence_form_contract(p_modes, table), table)
+    return (leray_project(_divergence_form_contract(p_modes, table), table),)
 
 
-def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
-                       workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(B(u,u), B(y,u)+B(u,y)) sharing transforms; the tangent-flow hot path."""
-    if workers is None:
-        workers = FFT_WORKERS
+def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
+                    workers: int | None = None) -> np.ndarray:
+    """B(y, u) + B(u, y) in divergence form (both fields divergence-free)."""
+    return _path_tiled(_linpair_tile, (uc, yc), 6, table, grid, workers)[0]
+
+
+def _self_and_linpair_tile(uc, yc, table, grid, workers):
     axes = (-3, -2, -1)
     both = np.stack([uc, yc], axis=-3)            # (..., 2, K, 3)
     lead = uc.shape[:-2]
@@ -238,6 +302,12 @@ def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: i
     return b_self, b_lin
 
 
+def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
+                       workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(B(u,u), B(y,u)+B(u,y)) sharing transforms; the tangent-flow hot path."""
+    return _path_tiled(_self_and_linpair_tile, (uc, yc), 12, table, grid, workers)
+
+
 def b_pseudospectral(u: SpectralField, v: SpectralField,
                      pad_factor: float = 1.5) -> SpectralField:
     """Fast evaluation of B(u, v); identical to b_direct up to roundoff."""
@@ -246,29 +316,6 @@ def b_pseudospectral(u: SpectralField, v: SpectralField,
     grid = dealias_grid(u.n, pad_factor)
     coeffs = b_batch(u.coeffs, v.coeffs, u.table, grid)
     return SpectralField(u.n, coeffs)
-
-
-@dataclass
-class BilinearResult:
-    field: SpectralField
-    method: str
-    flop_count: int
-
-
-def b_evaluate(u: SpectralField, v: SpectralField, method: str = "pseudospectral",
-               pad_factor: float = 1.5) -> BilinearResult:
-    n = u.n
-    side = 2 * n + 1
-    if method == "direct":
-        field = b_direct(u, v)
-        flops = 8 * (2 * u.table.n_modes) * side**3
-    elif method == "pseudospectral":
-        field = b_pseudospectral(u, v, pad_factor)
-        g = dealias_grid(n, pad_factor)
-        flops = int(15 * 2.5 * g**3 * math.log2(g**3))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return BilinearResult(field, method, flops)
 
 
 # -- continuity-estimate probes -----------------------------------------------

@@ -85,10 +85,6 @@ class PadLayout:
     neg_rows: np.ndarray    # rows found only through their conjugate slot
     neg_slots: np.ndarray
 
-    def __iter__(self):  # legacy tuple unpacking
-        return iter((self.val_slots, self.val_rows, self.conj_slots,
-                     self.conj_rows, self.kx, self.ky, self.kz))
-
 
 class ModeTable:
     """Stored-mode layout for resolution N plus cached spectral weights."""
@@ -106,7 +102,7 @@ class ModeTable:
         self.k_sq = (self.kvec.astype(np.float64) ** 2).sum(axis=1)
         self.lam = FOUR_PI_SQ * self.k_sq                      # Stokes eigenvalues
         self.pol = _polarization_basis(self.kvec.astype(np.float64))
-        self._pad_cache: dict[int, tuple] = {}
+        self._pad_cache: dict[int, PadLayout] = {}
         # index of each stored k in the iteration order, for lookups
         self._index = {tuple(k): i for i, k in enumerate(map(tuple, self.kvec))}
 
@@ -125,12 +121,12 @@ class ModeTable:
 
     # -- padded half-spectrum layout for rfft-based transforms ------------
 
-    def pad_layout(self, grid: int):
-        """Scatter/gather index arrays into an rfft half-cube of side `grid`.
+    def pad_layout(self, grid: int) -> PadLayout:
+        """Scatter/gather maps into an rfft half-cube of side `grid`, cached.
 
-        Returns (value_slots, value_rows, conj_slots, conj_rows, kx, ky, kz)
-        where flat slots index an array of shape (grid, grid, grid//2+1) and
-        kx/ky/kz are the signed integer wavenumbers of every slot.
+        The flat slots of the returned PadLayout index an array of shape
+        (grid, grid, grid//2+1); its kx/ky/kz are the signed integer
+        wavenumbers of every slot.
         """
         if grid < 2 * self.n + 1:
             raise AliasError(f"grid {grid} < 2N+1 = {2 * self.n + 1}")

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navsto import nonlinearity as nl
 from navsto import spectral as sp
@@ -129,6 +132,62 @@ class TestPseudospectral:
         cs, cp = nl.b_self_and_linpair(u, y, tab, grid)
         for got, want in ((ds, conv_self), (cs, conv_self), (dp, conv_pair), (cp, conv_pair)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestPathTiling:
+    """Tiled, threaded B kernels return the bytes of per-path calls."""
+
+    N = 4
+    P = 146   # several tiles plus a ragged last one for every kernel and dtype
+
+    @staticmethod
+    def kernels(u, y, tab, grid):
+        return (nl.b_self_batch(u, tab, grid), nl.b_linpair_batch(u, y, tab, grid),
+                *nl.b_self_and_linpair(u, y, tab, grid))
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_bytes_independent_of_tiles_and_threads(self, dtype):
+        tab = sp.mode_table(self.N)
+        grid = nl.dealias_grid(self.N)
+        real = np.finfo(dtype).dtype
+        for n_products in (6, 12):
+            tile = nl.tile_paths(n_products, grid, real.itemsize)
+            assert self.P > 2 * tile and self.P % tile
+        fields = [sp.random_divfree_field(self.N, sp.powerlaw_profile(2.0), seed=900,
+                                          stream=i).coeffs for i in range(2 * self.P)]
+        u = np.array(fields[:self.P], dtype=dtype)
+        y = np.array(fields[self.P:], dtype=dtype)
+        per_path = [self.kernels(u[i], y[i], tab, grid) for i in range(self.P)]
+        expect = [np.stack([pp[j] for pp in per_path]) for j in range(4)]
+        saved, switch = nl.FFT_WORKERS, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the tile threads finely
+        try:
+            for workers in (-1, 5, 1):   # all cores, more threads than cores, serial
+                nl.set_fft_workers(workers)
+                got = self.kernels(u, y, tab, grid)
+                for g, e in zip(got, expect):
+                    assert g.dtype == dtype
+                    assert np.array_equal(g.view(real), e.view(real))
+        finally:
+            nl.set_fft_workers(saved)
+            sys.setswitchinterval(switch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), paths=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.complex128, np.complex64]),
+       special=st.lists(st.floats(allow_nan=False, width=32), max_size=8))
+def test_scatter_gather_round_trip(n, paths, seed, dtype, special):
+    tab = sp.mode_table(n)
+    grid = nl.dealias_grid(n)
+    rng = np.random.default_rng(seed)
+    c = (rng.standard_normal((paths, tab.n_modes, 3))
+         + 1j * rng.standard_normal((paths, tab.n_modes, 3))).astype(dtype)
+    flat = c.view(np.finfo(dtype).dtype).reshape(-1)
+    flat[rng.integers(0, flat.size, len(special))] = special   # +-0, inf, subnormals
+    back = nl._gather_half(nl._scatter_half(c, tab, grid), tab, grid)
+    assert back.dtype == c.dtype and back.shape == c.shape
+    assert back.tobytes() == c.tobytes()
 
 
 class TestAlgebra:
