@@ -8,6 +8,12 @@ the coefficient of B(u, v) at k is
 
 with modes outside the truncation discarded.  Both routes agree to roundoff;
 the direct route exists so the fast one never verifies itself.
+
+The pseudo-spectral kernels keep spectra in the dense (2N+1, 2N+1, N+1)
+rfft half-block and run padded transforms pruned to its non-zero lines
+(Bowman and Roberts, SIAM J. Sci. Comput. 33, 2011), with the bytes of the
+full-cube transforms.  Batches of paths run in cache-sized tiles on a thread
+pool that the noise block shares.
 """
 
 from __future__ import annotations
@@ -33,11 +39,13 @@ class PaddingError(ValueError):
     """Configured padding factor cannot dealias the quadratic product."""
 
 
-#: threads per B kernel call (-1: all cores, as in scipy.fft): batches larger
-#: than one tile run their path tiles on this many threads, smaller ones hand
-#: it to the FFT calls.  Worker pools set it to 1 in children to avoid
-#: oversubscription.  Output bytes depend on neither this setting nor the tile
-#: size, because every path's arithmetic touches only its own slice.
+#: threads per B kernel call and noise block (-1: all cores, as in scipy.fft):
+#: batches larger than one tile run their path tiles on this many threads,
+#: smaller B batches hand it to the FFT calls; the noise block draws and
+#: assembles its path tiles on the same threads.  Worker pools set it to 1 in
+#: children to avoid oversubscription.  Output bytes depend on neither this
+#: setting nor the tile size, because every path's arithmetic touches only its
+#: own slice.
 FFT_WORKERS = -1
 
 #: cache budget for one tile's pointwise products; the tile size follows from
@@ -100,30 +108,83 @@ def b_direct(u: SpectralField, v: SpectralField) -> SpectralField:
 
 
 # -- pseudo-spectral route ----------------------------------------------------
+#
+# Spectral data live in the dense half-block (..., 2N+1, 2N+1, N+1) of
+# spectral.PadLayout, the only part of the padded rfft half-cube that is
+# non-zero on input or kept on output.  The two transforms below run one axis
+# at a time, in place on views of one padded half-cube, and skip every line
+# that is all zero on input or dropped on output.  They keep the axis order of
+# scipy's multi-axis irfftn/rfftn (x before y both ways), so every kept line
+# sees the same arithmetic and the bytes are those of the full-cube transforms.
+
+def _wrapped(n: int, grid: int) -> tuple:
+    """Block and grid index ranges of the wavenumbers 0..N and -N..-1."""
+    return (slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, 2 * n + 1), slice(grid - n, grid))
+
+
+def _irfft_block(hat: np.ndarray, grid: int, workers: int) -> np.ndarray:
+    """Real grids (..., g, g, g) from half-blocks; the bytes of sfft.irfftn."""
+    n = hat.shape[-1] - 1
+    kz = slice(0, n + 1)
+    cube = np.zeros(hat.shape[:-3] + (grid, grid, grid // 2 + 1), dtype=hat.dtype)
+    for bx, gx in _wrapped(n, grid):
+        for by, gy in _wrapped(n, grid):
+            cube[..., gx, gy, kz] = hat[..., bx, by, :]
+    # in place on views: x over the (2N+1)(N+1) non-zero lines, then y
+    for _, gy in _wrapped(n, grid):
+        sfft.ifft(cube[..., :, gy, kz], axis=-3, norm="forward", overwrite_x=True,
+                  workers=workers)
+    sfft.ifft(cube[..., kz], axis=-2, norm="forward", overwrite_x=True, workers=workers)
+    out = sfft.irfft(cube, n=grid, axis=-1, norm="forward", workers=workers)
+    # irfftn scales once, on its last pass, by 1/g^3 formed in long double
+    out *= (1 / np.longdouble(grid**3)).astype(out.dtype)
+    return out
+
+
+def _rfft_block(phys: np.ndarray, n: int, workers: int) -> np.ndarray:
+    """Half-blocks (..., 2N+1, 2N+1, N+1) of real grids; sfft.rfftn's bytes there."""
+    grid = phys.shape[-1]
+    kz = slice(0, n + 1)
+    cube = sfft.rfft(phys, axis=-1, workers=workers)
+    # in place on views: x over the kz <= N lines, then y over the kept x rows
+    sfft.fft(cube[..., kz], axis=-3, overwrite_x=True, workers=workers)
+    for _, gx in _wrapped(n, grid):
+        sfft.fft(cube[..., gx, :, kz], axis=-2, overwrite_x=True, workers=workers)
+    out = np.empty(phys.shape[:-3] + (2 * n + 1, 2 * n + 1, n + 1), dtype=cube.dtype)
+    for bx, gx in _wrapped(n, grid):
+        for by, gy in _wrapped(n, grid):
+            out[..., bx, by, :] = cube[..., gx, gy, kz]
+    return out
+
 
 def _scatter_half(coeffs: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
-    """Embed (..., K, 3) coefficients into rfft half-cubes (..., 3, g, g, g/2+1)."""
+    """Embed (..., K, 3) coefficients into half-blocks (..., 3, 2N+1, 2N+1, N+1)."""
     lay = table.pad_layout(grid)
-    gz = grid // 2 + 1
+    block = (2 * table.n + 1, 2 * table.n + 1, table.n + 1)
     lead = coeffs.shape[:-2]
     ct = np.ascontiguousarray(np.swapaxes(coeffs, -1, -2))   # (..., 3, K)
-    z = np.zeros(lead + (3, grid * grid * gz), dtype=coeffs.dtype)
+    z = np.zeros(lead + (3, math.prod(block)), dtype=coeffs.dtype)
     z[..., :, lay.val_slots] = ct[..., :, lay.val_rows]
     z[..., :, lay.conj_slots] = np.conj(ct[..., :, lay.conj_rows])
-    return z.reshape(lead + (3, grid, grid, gz))
+    return z.reshape(lead + (3,) + block)
 
 
 def _gather_half(z: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
+    """Read (..., 3, 2N+1, 2N+1, N+1) half-blocks back to (..., K, 3) coefficients."""
+    out = _gather_half_scalar(z, table, grid)
+    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
+
+
+def _gather_half_scalar(z: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
+    """Gather (..., C, 2N+1, 2N+1, N+1) half-blocks to (..., C, K) mode values."""
     lay = table.pad_layout(grid)
-    gz = grid // 2 + 1
-    lead = z.shape[:-4]
-    zf = z.reshape(lead + (3, grid * grid * gz))
-    out = np.empty(lead + (3, table.n_modes), dtype=z.dtype)
-    out[..., :, lay.val_rows] = zf[..., :, lay.val_slots]
+    zf = z.reshape(z.shape[:-3] + (-1,))
+    out = np.empty(z.shape[:-3] + (table.n_modes,), dtype=z.dtype)
+    out[..., lay.val_rows] = zf[..., lay.val_slots]
     # k3 < 0 rows only appear through their conjugate slot; k3 == 0 rows sit
     # in both lists and the value slot takes precedence (equal to roundoff)
-    out[..., :, lay.neg_rows] = np.conj(zf[..., :, lay.neg_slots])
-    return np.ascontiguousarray(np.swapaxes(out, -1, -2))
+    out[..., lay.neg_rows] = np.conj(zf[..., lay.neg_slots])
+    return out
 
 
 def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int,
@@ -131,20 +192,16 @@ def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int,
     """Dealiased (u . grad) v with Leray projection for (..., K, 3) batches."""
     if workers is None:
         workers = FFT_WORKERS
-    axes = (-3, -2, -1)
     lay = table.pad_layout(grid)
-    u_hat = _scatter_half(uc, table, grid)
     # physical fields carry a 1/grid^3 factor that is repaid at the gather
-    u_phys = sfft.irfftn(u_hat, s=(grid, grid, grid), axes=axes, workers=workers)
+    u_phys = _irfft_block(_scatter_half(uc, table, grid), grid, workers)
     v_hat = _scatter_half(vc, table, grid)
     w = None
     for a, ka in enumerate((lay.kx, lay.ky, lay.kz)):
-        dva = sfft.irfftn(v_hat * (TWO_PI * 1j * ka), s=(grid, grid, grid),
-                          axes=axes, workers=workers)
+        dva = _irfft_block(v_hat * (TWO_PI * 1j * ka), grid, workers)
         term = u_phys[..., a:a + 1, :, :, :] * dva
         w = term if w is None else w + term
-    w_hat = sfft.rfftn(w, axes=axes, workers=workers)
-    out = _gather_half(w_hat, table, grid) * grid**3
+    out = _gather_half(_rfft_block(w, table.n, workers), table, grid) * grid**3
     return leray_project(out, table)
 
 
@@ -165,30 +222,22 @@ def _divergence_form_contract(p_modes: np.ndarray, table: ModeTable) -> np.ndarr
 
 def _products_to_modes(prods: np.ndarray, table: ModeTable, grid: int,
                        workers: int) -> np.ndarray:
-    axes = (-3, -2, -1)
-    p_hat = sfft.rfftn(prods, axes=axes, workers=workers)
+    p_hat = _rfft_block(prods, table.n, workers)
     # move the product axis next to the modes for the gather
     gathered = _gather_half_scalar(p_hat, table, grid)
     return gathered * grid**3
 
 
-def _gather_half_scalar(z: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
-    """Gather (..., C, g, g, gz) half-cubes to (..., C, K) mode values."""
-    lay = table.pad_layout(grid)
-    gz = grid // 2 + 1
-    lead = z.shape[:-3]
-    zf = z.reshape(lead + (grid * grid * gz,))
-    out = np.empty(lead + (table.n_modes,), dtype=z.dtype)
-    out[..., lay.val_rows] = zf[..., lay.val_slots]
-    out[..., lay.neg_rows] = np.conj(zf[..., lay.neg_slots])
-    return out
-
-
 # -- path tiling ----------------------------------------------------------------
+
+def tile_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` each per tile: as many as fit within TILE_BYTES."""
+    return max(1, TILE_BYTES // row_bytes)
+
 
 def tile_paths(n_products: int, grid: int, itemsize: int) -> int:
     """Paths per tile: as many as keep n_products real grids within TILE_BYTES."""
-    return max(1, TILE_BYTES // (n_products * grid**3 * itemsize))
+    return tile_rows(n_products * grid**3 * itemsize)
 
 
 def _tile_pool(threads: int) -> ThreadPoolExecutor:
@@ -200,6 +249,23 @@ def _tile_pool(threads: int) -> ThreadPoolExecutor:
             _tile_pool_by_pid[2].shutdown(wait=False)
         _tile_pool_by_pid = key + (ThreadPoolExecutor(threads),)
     return _tile_pool_by_pid[2]
+
+
+def map_tiles(run, total: int, tile: int, workers: int | None) -> None:
+    """Call run(lo) for lo = 0, tile, 2 tile, ... < total on `workers` threads.
+
+    Each call must write only its own slice of the outputs; the calls run in
+    order when one thread is asked for.
+    """
+    if workers is None:
+        workers = FFT_WORKERS
+    starts = range(0, total, tile)
+    threads = workers if workers > 0 else (os.cpu_count() or 1) + 1 + workers
+    if threads > 1 and len(starts) > 1:
+        list(_tile_pool(threads).map(run, starts))
+    else:
+        for lo in starts:
+            run(lo)
 
 
 def _path_tiled(kernel, fields: tuple, n_products: int, table: ModeTable, grid: int,
@@ -226,22 +292,14 @@ def _path_tiled(kernel, fields: tuple, n_products: int, table: ModeTable, grid: 
                                           table, grid, 1)):
             out[lo:lo + tile] = part
 
-    starts = range(0, first.shape[0], tile)
-    threads = workers if workers > 0 else (os.cpu_count() or 1) + 1 + workers
-    if threads > 1:
-        list(_tile_pool(threads).map(run, starts))
-    else:
-        for lo in starts:
-            run(lo)
+    map_tiles(run, first.shape[0], tile, workers)
     return outs
 
 
 # -- divergence-form kernels ----------------------------------------------------
 
 def _self_tile(uc, table, grid, workers):
-    axes = (-3, -2, -1)
-    u_hat = _scatter_half(uc, table, grid)
-    up = sfft.irfftn(u_hat, s=(grid, grid, grid), axes=axes, workers=workers)
+    up = _irfft_block(_scatter_half(uc, table, grid), grid, workers)
     lead = up.shape[:-4]
     prods = np.empty(lead + (6,) + up.shape[-3:], dtype=up.dtype)
     for i, (a, b) in enumerate(_PROD_PAIRS):
@@ -261,11 +319,8 @@ def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int,
 
 
 def _linpair_tile(uc, yc, table, grid, workers):
-    axes = (-3, -2, -1)
-    up = sfft.irfftn(_scatter_half(uc, table, grid), s=(grid, grid, grid),
-                     axes=axes, workers=workers)
-    yp = sfft.irfftn(_scatter_half(yc, table, grid), s=(grid, grid, grid),
-                     axes=axes, workers=workers)
+    up = _irfft_block(_scatter_half(uc, table, grid), grid, workers)
+    yp = _irfft_block(_scatter_half(yc, table, grid), grid, workers)
     lead = up.shape[:-4]
     prods = np.empty(lead + (6,) + up.shape[-3:], dtype=up.dtype)
     for i, (a, b) in enumerate(_PROD_PAIRS):
@@ -282,11 +337,10 @@ def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
 
 
 def _self_and_linpair_tile(uc, yc, table, grid, workers):
-    axes = (-3, -2, -1)
     both = np.stack([uc, yc], axis=-3)            # (..., 2, K, 3)
     lead = uc.shape[:-2]
-    hat = _scatter_half(both, table, grid)        # (..., 2, 3, g, g, gz)
-    phys = sfft.irfftn(hat, s=(grid, grid, grid), axes=axes, workers=workers)
+    hat = _scatter_half(both, table, grid)        # (..., 2, 3, 2N+1, 2N+1, N+1)
+    phys = _irfft_block(hat, grid, workers)
     up, yp = phys[..., 0, :, :, :, :], phys[..., 1, :, :, :, :]
     prods = np.empty(lead + (12,) + phys.shape[-3:], dtype=phys.dtype)
     scratch = np.empty(lead + phys.shape[-3:], dtype=phys.dtype)

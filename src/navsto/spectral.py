@@ -56,12 +56,7 @@ def _polarization_basis(kvec: np.ndarray) -> np.ndarray:
     eye = np.eye(3)
     # smallest axis index not parallel to k
     parallel = np.abs(np.abs(khat) - 1.0) < 1e-14  # axis-aligned k: khat = +/- e_i
-    axis = np.zeros(K, dtype=np.int64)
-    for i in range(K):
-        a = 0
-        while parallel[i, a]:
-            a += 1
-        axis[i] = a
+    axis = np.argmax(~parallel, axis=1)
     e = eye[axis]
     p1 = e - (e * khat).sum(axis=1, keepdims=True) * khat
     p1 /= np.linalg.norm(p1, axis=1, keepdims=True)
@@ -73,13 +68,19 @@ def _polarization_basis(kvec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PadLayout:
-    """Scatter/gather maps between stored modes and an rfft half-cube."""
+    """Scatter/gather maps between stored modes and the dense rfft half-block.
 
-    val_slots: np.ndarray   # flat slots receiving u_k
+    The block has shape (2N+1, 2N+1, N+1): the x and y axes hold the
+    wavenumbers 0..N, -N..-1 in that (wrapped) order, the z axis 0..N.  It is
+    the only part of a padded rfft half-cube that is non-zero on input or
+    kept on output.
+    """
+
+    val_slots: np.ndarray   # flat block slots receiving u_k
     val_rows: np.ndarray    # stored-mode rows for those slots
-    conj_slots: np.ndarray  # flat slots receiving conj(u_k)
+    conj_slots: np.ndarray  # flat block slots receiving conj(u_k)
     conj_rows: np.ndarray
-    kx: np.ndarray          # signed integer wavenumber of every slot
+    kx: np.ndarray          # signed integer wavenumber of every block slot
     ky: np.ndarray
     kz: np.ndarray
     neg_rows: np.ndarray    # rows found only through their conjugate slot
@@ -122,51 +123,33 @@ class ModeTable:
     # -- padded half-spectrum layout for rfft-based transforms ------------
 
     def pad_layout(self, grid: int) -> PadLayout:
-        """Scatter/gather maps into an rfft half-cube of side `grid`, cached.
+        """Scatter/gather maps into the dense half-block for an FFT grid, cached.
 
         The flat slots of the returned PadLayout index an array of shape
-        (grid, grid, grid//2+1); its kx/ky/kz are the signed integer
-        wavenumbers of every slot.
+        (2N+1, 2N+1, N+1); its kx/ky/kz are the signed integer wavenumbers of
+        every slot.  The block does not depend on `grid`, which is checked
+        for an alias-free round trip.
         """
         if grid < 2 * self.n + 1:
             raise AliasError(f"grid {grid} < 2N+1 = {2 * self.n + 1}")
         if grid in self._pad_cache:
             return self._pad_cache[grid]
-        gz = grid // 2 + 1
-        k = self.kvec
-        val_rows, val_slots, conj_rows, conj_slots = [], [], [], []
+        n, side = self.n, 2 * self.n + 1
+        k, k3 = self.kvec, self.kvec[:, 2]
 
-        def flat(a, b, c):
-            return (a % grid) * grid * gz + (b % grid) * gz + c
+        def flat(rows, sign):
+            s = sign * k[rows]
+            return (s[:, 0] % side) * side * (n + 1) + (s[:, 1] % side) * (n + 1) + s[:, 2]
 
-        for i in range(self.n_modes):
-            k1, k2, k3 = int(k[i, 0]), int(k[i, 1]), int(k[i, 2])
-            if k3 > 0:
-                val_rows.append(i)
-                val_slots.append(flat(k1, k2, k3))
-            elif k3 < 0:
-                conj_rows.append(i)
-                conj_slots.append(flat(-k1, -k2, -k3))
-            else:
-                val_rows.append(i)
-                val_slots.append(flat(k1, k2, 0))
-                conj_rows.append(i)
-                conj_slots.append(flat(-k1, -k2, 0))
-        w = ((np.arange(grid) + grid // 2) % grid) - grid // 2
-        kx = np.repeat(w, grid * gz).reshape(grid, grid, gz)
-        ky = np.tile(np.repeat(w, gz), grid).reshape(grid, grid, gz)
-        kz = np.tile(np.arange(gz), grid * grid).reshape(grid, grid, gz)
-        val_rows = np.asarray(val_rows)
-        val_slots = np.asarray(val_slots)
-        conj_rows = np.asarray(conj_rows)
-        conj_slots = np.asarray(conj_slots)
-        # rows appearing only in the conjugate list (k3 < 0), for the gather
-        only_neg = ~np.isin(conj_rows, val_rows)
-        out = PadLayout(
-            val_slots, val_rows, conj_slots, conj_rows,
-            kx.astype(np.float64), ky.astype(np.float64), kz.astype(np.float64),
-            conj_rows[only_neg], conj_slots[only_neg],
-        )
+        # k3 == 0 rows fill both their own slot and their conjugate's; k3 < 0
+        # rows only appear through their conjugate slot
+        val_rows = np.flatnonzero(k3 >= 0)
+        conj_rows = np.flatnonzero(k3 <= 0)
+        neg_rows = np.flatnonzero(k3 < 0)
+        w = np.concatenate([np.arange(n + 1), np.arange(-n, 0)]).astype(np.float64)
+        kx, ky, kz = np.meshgrid(w, w, np.arange(n + 1, dtype=np.float64), indexing="ij")
+        out = PadLayout(flat(val_rows, 1), val_rows, flat(conj_rows, -1), conj_rows,
+                        kx, ky, kz, neg_rows, flat(neg_rows, -1))
         self._pad_cache[grid] = out
         return out
 

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from navsto import noise as ns
+from navsto import nonlinearity as nl
 from navsto import spectral as sp
 
 
@@ -119,6 +122,70 @@ class TestOUIncrements:
         assert decay.shape == (cov4.table.n_modes,)
         assert np.all((0 < decay) & (decay < 1))
         assert sp.divergence_residual(field) <= 1e-12
+
+
+def signbits(z):
+    return np.signbit(z.real) | np.signbit(z.imag)
+
+
+def frozen_noise(cov, scale, seed, path_ids, step, kind):
+    """The einsum formula the noise block reproduces: (c, assembled) per path."""
+    K = cov.table.n_modes
+    g = np.empty((len(path_ids), K, 2, 2))
+    for i, p in enumerate(path_ids):
+        g[i] = ns.path_generator(seed, int(p), step, kind).standard_normal((K, 2, 2))
+    c = (g[..., 0] + 1j * g[..., 1]) * (scale / np.sqrt(2.0))[None, :, None]
+    return c, np.einsum("pka,kaj->pkj", c, cov.table.pol)
+
+
+class TestNoiseBlockBytes:
+    """Tiled, threaded draws and assembly return the bytes of the einsum formula."""
+
+    DT, SEED, STEP = 2e-3, 31, 5
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
+    def test_matches_frozen_formula(self, n):
+        cov = ns.build_covariance(0.75, 30.0, n)
+        tab = cov.table
+        tile = ns._noise_tile(tab.n_modes)
+        ids = np.arange(2 * tile + tile // 3 + 1)[::-1] + 7   # several tiles, ragged last
+        assert len(ids) % tile
+        ou_scale = np.sqrt(ns.ou_variance(cov, self.DT))
+        cases = [  # (call, scale, kind)
+            (lambda: ns.ou_block(cov, self.DT, self.SEED, ids, self.STEP, amplitude=1.5),
+             1.5 * ou_scale, ns.KIND_OU),
+            (lambda: ns.ou_block(cov, self.DT, self.SEED, ids, self.STEP, amplitude=0.0),
+             0.0 * ou_scale, ns.KIND_OU),
+            (lambda: ns.wiener_block(cov, self.DT, self.SEED, ids, self.STEP),
+             cov.sigma * np.sqrt(self.DT), ns.KIND_WIENER),
+        ]
+        expect = [frozen_noise(cov, scale, self.SEED, ids, self.STEP, kind)
+                  for _, scale, kind in cases]
+        # both polarizations vanish on some components (k along an axis); the
+        # real sum c_0 p_0 + c_1 p_1 alone would leave -0 on some of them
+        both_zero = (tab.pol[:, 0, :] == 0) & (tab.pol[:, 1, :] == 0)
+        assert both_zero.any()
+        c = expect[0][0]
+        bare = c[..., 0, None] * tab.pol[None, :, 0, :] + c[..., 1, None] * tab.pol[None, :, 1, :]
+        assert signbits(bare[:, both_zero]).any()
+
+        saved, switch = nl.FFT_WORKERS, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (-1, 1, 5):   # all cores, serial, more threads than cores
+                nl.set_fft_workers(workers)
+                for (call, scale, kind), (c, field) in zip(cases, expect):
+                    got = call()
+                    assert got.dtype == field.dtype and got.shape == field.shape
+                    assert got.tobytes() == field.tobytes()
+                    assert not signbits(got[:, both_zero]).any()
+                draws = ns._mode_gaussians(cov, cases[0][1], self.SEED, ids, self.STEP,
+                                           ns.KIND_OU)
+                assert draws.shape == expect[0][0].shape
+                assert draws.tobytes() == expect[0][0].tobytes()
+        finally:
+            nl.set_fft_workers(saved)
+            sys.setswitchinterval(switch)
 
 
 class TestQPowers:

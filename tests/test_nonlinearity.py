@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from navsto import nonlinearity as nl
 from navsto import spectral as sp
@@ -167,7 +168,7 @@ class TestPathTiling:
                 got = self.kernels(u, y, tab, grid)
                 for g, e in zip(got, expect):
                     assert g.dtype == dtype
-                    assert np.array_equal(g.view(real), e.view(real))
+                    assert g.tobytes() == e.tobytes()   # sees -0 vs +0, NaN payloads
         finally:
             nl.set_fft_workers(saved)
             sys.setswitchinterval(switch)
@@ -188,6 +189,87 @@ def test_scatter_gather_round_trip(n, paths, seed, dtype, special):
     back = nl._gather_half(nl._scatter_half(c, tab, grid), tab, grid)
     assert back.dtype == c.dtype and back.shape == c.shape
     assert back.tobytes() == c.tobytes()
+
+
+def full_cube_slots(tab, grid):
+    """Flat slots of every stored k and of -k in the padded (g, g, g/2+1) half-cube."""
+    gz = grid // 2 + 1
+
+    def flat(k):
+        return (k[:, 0] % grid) * grid * gz + (k[:, 1] % grid) * gz + k[:, 2]
+    return flat(tab.kvec), flat(-tab.kvec)
+
+
+def full_cube(hat, tab, grid):
+    """The dense half-block embedded in the padded half-cube, by explicit k."""
+    n, gz = tab.n, grid // 2 + 1
+    side = np.r_[0:n + 1, -n:0]
+    cube = np.zeros(hat.shape[:-3] + (grid, grid, gz), dtype=hat.dtype)
+    cube[..., (side % grid)[:, None], side % grid, :n + 1] = hat
+    return cube
+
+
+def b_batch_full_cube(uc, vc, tab, grid):
+    """Frozen full-cube b_batch: scatter to the padded half-cube, irfftn/rfftn."""
+    gz = grid // 2 + 1
+    pos, neg = full_cube_slots(tab, grid)
+    k3 = tab.kvec[:, 2]
+    axes = (-3, -2, -1)
+
+    def scatter(c):
+        ct = np.swapaxes(c, -1, -2)
+        z = np.zeros(ct.shape[:-1] + (grid * grid * gz,), dtype=c.dtype)
+        z[..., pos[k3 >= 0]] = ct[..., k3 >= 0]
+        z[..., neg[k3 <= 0]] = np.conj(ct[..., k3 <= 0])
+        return z.reshape(ct.shape[:-1] + (grid, grid, gz))
+
+    w = (((np.arange(grid) + grid // 2) % grid) - grid // 2).astype(np.float64)
+    kx, ky, kz = np.meshgrid(w, w, np.arange(gz, dtype=np.float64), indexing="ij")
+    u_phys = sfft.irfftn(scatter(uc), s=(grid,) * 3, axes=axes)
+    v_hat = scatter(vc)
+    acc = None
+    for a, ka in enumerate((kx, ky, kz)):
+        dva = sfft.irfftn(v_hat * (nl.TWO_PI * 1j * ka), s=(grid,) * 3, axes=axes)
+        term = u_phys[a:a + 1] * dva
+        acc = term if acc is None else acc + term
+    zf = sfft.rfftn(acc, axes=axes).reshape(3, -1)
+    out = np.empty((3, tab.n_modes), dtype=zf.dtype)
+    out[:, k3 >= 0] = zf[:, pos[k3 >= 0]]
+    out[:, k3 < 0] = np.conj(zf[:, neg[k3 < 0]])
+    return sp.leray_project(out.T * grid**3, tab)
+
+
+class TestPrunedTransforms:
+    """The pruned block transforms return the bytes of scipy's full-cube ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), lead=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.complex128, np.complex64]),
+           workers=st.sampled_from([1, -1]))
+    def test_match_full_cube_transforms(self, n, lead, seed, dtype, workers):
+        tab = sp.mode_table(n)
+        grid = nl.dealias_grid(n)
+        rng = np.random.default_rng(seed)
+        shape = (lead, 2 * n + 1, 2 * n + 1, n + 1)
+        hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+        hat[0, rng.integers(0, 2 * n + 1)] = 0   # an all-zero x row
+        got = nl._irfft_block(hat, grid, workers)
+        want = sfft.irfftn(full_cube(hat, tab, grid), s=(grid,) * 3, axes=(-3, -2, -1))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        phys = rng.standard_normal((lead, grid, grid, grid)).astype(got.dtype)
+        got = nl._rfft_block(phys, n, workers)
+        full = sfft.rfftn(phys, axes=(-3, -2, -1))
+        side = np.r_[0:n + 1, -n:0] % grid
+        want = full[..., side[:, None], side, :n + 1]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_b_batch_matches_full_cube(self, n):
+        tab = sp.mode_table(n)
+        grid = nl.dealias_grid(n)
+        u, v = random_field(n, 110 + n).coeffs, random_field(n, 111 + n).coeffs
+        assert nl.b_batch(u, v, tab, grid).tobytes() == b_batch_full_cube(u, v, tab, grid).tobytes()
 
 
 class TestAlgebra:

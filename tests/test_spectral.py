@@ -207,3 +207,47 @@ class TestSnapshotIO:
         r = sp.restrict_field(u, 4)
         for k in [(1, 0, 0), (2, -3, 1), (4, 4, -4)]:
             assert np.array_equal(r.get(k), u.get(k))
+
+
+def polarization_basis_loop(kvec):
+    """The per-mode axis choice the vectorised basis replaces, kept as reference."""
+    khat = kvec / np.linalg.norm(kvec, axis=1, keepdims=True)
+    parallel = np.abs(np.abs(khat) - 1.0) < 1e-14
+    axis = np.zeros(kvec.shape[0], dtype=np.int64)
+    for i in range(kvec.shape[0]):
+        a = 0
+        while parallel[i, a]:
+            a += 1
+        axis[i] = a
+    e = np.eye(3)[axis]
+    p1 = e - (e * khat).sum(axis=1, keepdims=True) * khat
+    p1 /= np.linalg.norm(p1, axis=1, keepdims=True)
+    return np.stack([p1, np.cross(khat, p1)], axis=1)
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_polarization_bytes_match_loop(self, n):
+        tab = sp.mode_table(n)
+        ref = polarization_basis_loop(tab.kvec.astype(np.float64))
+        assert tab.pol.shape == ref.shape and tab.pol.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_block_layout_addresses_every_mode(self, n):
+        tab = sp.mode_table(n)
+        lay = tab.pad_layout(2 * n + 1)
+        side, nz = 2 * n + 1, n + 1
+        kx, ky, kz = (a.ravel() for a in (lay.kx, lay.ky, lay.kz))
+        assert lay.kx.shape == (side, side, nz)
+        slot_k = np.stack([kx, ky, kz], axis=1)
+        assert np.array_equal(slot_k[lay.val_slots], tab.kvec[lay.val_rows])
+        assert np.array_equal(slot_k[lay.conj_slots], -tab.kvec[lay.conj_rows])
+        assert np.array_equal(slot_k[lay.neg_slots], -tab.kvec[lay.neg_rows])
+        assert np.array_equal(np.sort(np.r_[lay.val_rows, lay.neg_rows]), np.arange(tab.n_modes))
+        # every k with kz >= 0 in the block is filled exactly once
+        filled = np.r_[lay.val_slots, lay.conj_slots]
+        assert len(np.unique(filled)) == filled.size
+        nonzero = (kx != 0) | (ky != 0) | (kz != 0)
+        assert np.array_equal(np.sort(filled), np.flatnonzero(nonzero))
+        with pytest.raises(sp.AliasError):
+            tab.pad_layout(2 * n)
