@@ -228,7 +228,7 @@ def cmd_simulate(args, cfg, seeds, out):
         name = f"path_{s}.csv"
         dyn.export_path_csv(rec, out / name, stride=stride)
         artifacts[f"path_{s}"] = name
-        for t, snap in rec.snapshots:
+        for t, snap in rec.snapshots():
             fn = f"snap_{s}_{t:.6f}.bin"
             write_snapshot(snap, out / fn)
             artifacts[fn] = fn

@@ -22,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise as noise_mod
-from .nonlinearity import b_linpair_batch, b_self_batch, dealias_grid
+from .nonlinearity import b_self_batch, dealias_grid
+# perfbench/spans.py wraps dynamics.b_linpair_batch by name; nothing here calls it
+from .nonlinearity import b_linpair_batch  # noqa: F401
 from .noise import CovarianceSpec, build_covariance, ou_decay, ou_variance
 from .spectral import SpectralField, mode_table, pair_with, theta
 
@@ -112,6 +114,13 @@ def chi_r_prime(r, R: float):
 
 # -- noise providers -----------------------------------------------------------
 
+def scheme_step_variance(cfg: SimConfig, cov: CovarianceSpec) -> np.ndarray:
+    """Exact per-mode noise variance of one step of the configured scheme."""
+    if cfg.scheme == "em":
+        return cov.sigma**2 * cfg.dt
+    return ou_variance(cov, cfg.dt, cfg.nu)
+
+
 def _noise_block(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int,
                  provider: str = "native", fine_dt: float | None = None):
     """One step of scheme noise for a batch of paths.
@@ -132,7 +141,6 @@ def _noise_block(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int,
     if provider == "coupled-coarse":
         if fine_dt is None:
             fine_dt = cfg.dt / 2.0
-        g1 = None
         if cfg.scheme == "em":
             g1 = noise_mod.wiener_block(cov, fine_dt, cfg.seed, path_ids, 2 * step, amp)
             g2 = noise_mod.wiener_block(cov, fine_dt, cfg.seed, path_ids, 2 * step + 1, amp)
@@ -144,42 +152,49 @@ def _noise_block(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int,
     raise ValueError(f"unknown noise provider {provider!r}")
 
 
-# -- ensemble records ----------------------------------------------------------
+# -- trajectory records --------------------------------------------------------
 
 @dataclass
 class EnsembleRecord:
-    """Per-path functional time series for an ensemble run."""
+    """Functional time series of an ensemble of paths, or of one path.
+
+    Per-path arrays lead with the path axis: h2 is (P, S+1), series
+    (P, S+1, K, 3) and mphi (n_phi, P, S+1).  A one-path record (`path(i)`,
+    `simulate_path` and the single-path solvers) has no path axis: h2 is
+    (S+1,), series (S+1, K, 3) and mphi (n_phi, S+1).
+    """
 
     cfg: SimConfig
-    path_ids: np.ndarray
+    path_ids: np.ndarray | int | None
     times: np.ndarray                      # (S+1,)
-    h2: np.ndarray                         # (P, S+1)  |u|_H^2
-    v2: np.ndarray                         # (P, S+1)  |u|_V^2
-    w2: np.ndarray                         # (P, S+1)  |u|_W^2
-    int_v2: np.ndarray                     # (P, S+1)  cumulative |u|_V^2
-    int_h2nm2_v2: dict                     # n -> (P, S+1) cumulative |u|^{2n-2}|u|_V^2
-    int_h2nm2: dict                        # n -> (P, S+1) cumulative |u|^{2n-2}
+    h2: np.ndarray                         # |u|_H^2
+    v2: np.ndarray                         # |u|_V^2
+    w2: np.ndarray                         # |u|_W^2
+    int_v2: np.ndarray                     # cumulative |u|_V^2
+    int_h2nm2_v2: dict                     # n -> cumulative |u|^{2n-2}|u|_V^2
+    int_h2nm2: dict                        # n -> cumulative |u|^{2n-2}
     sigma_sq: float
-    mphi: np.ndarray | None = None         # (n_phi, P, S+1)
-    proj_phi: np.ndarray | None = None     # (n_phi, P, S+1)
-    final: np.ndarray | None = None        # (P, K, 3)
-    blown: np.ndarray | None = None        # (P,) bool
-    blow_step: np.ndarray | None = None
-    series: np.ndarray | None = None       # (P, S+1, K, 3) when state series kept
+    phi_names: tuple                       # name of each M^phi row
+    mphi: np.ndarray | None = None         # M^phi per test function
+    proj_phi: np.ndarray | None = None     # <u, phi> per test function
+    final: np.ndarray | None = None        # final state(s)
+    blown: np.ndarray | bool | None = None
+    blow_step: np.ndarray | int | None = None
+    series: np.ndarray | None = None       # state series when kept
 
     def energy_series(self, n: int) -> np.ndarray:
         """E^n per path on the grid (left-endpoint quadrature inside)."""
         nu = self.cfg.nu
         if n == 1:
             diss = self.int_v2
-            ito = self.times[None, :]
+            ito = self.times
         else:
             if n not in self.int_h2nm2_v2:
                 raise ValueError(f"moment n={n} beyond tracked n_max")
             diss = self.int_h2nm2_v2[n]
             ito = self.int_h2nm2[n]
         return (self.h2**n + 2.0 * n * nu * diss
-                - self.h2[:, :1]**n - n * (2 * n - 1) * self.sigma_sq * ito)
+                - self.h2[..., :1]**n - n * (2 * n - 1) * self.sigma_sq * ito)
 
     def checkpoint_index(self, t: float) -> int:
         i = int(round(t / self.cfg.dt))
@@ -189,6 +204,30 @@ class EnsembleRecord:
 
     def tau_r(self, R: float) -> np.ndarray:
         return stopping_time_tau_r_series(self.w2, self.times, R)
+
+    def path(self, i: int) -> "EnsembleRecord":
+        """The one-path record of row i."""
+        def row(a):
+            return None if a is None else a[i]
+
+        def phi_row(a):
+            return None if a is None else a[:, i]
+
+        return replace(
+            self, path_ids=self.path_ids[i], h2=self.h2[i], v2=self.v2[i], w2=self.w2[i],
+            int_v2=self.int_v2[i],
+            int_h2nm2_v2={n: a[i] for n, a in self.int_h2nm2_v2.items()},
+            int_h2nm2={n: a[i] for n, a in self.int_h2nm2.items()},
+            mphi=phi_row(self.mphi), proj_phi=phi_row(self.proj_phi), final=row(self.final),
+            blown=bool(self.blown[i]), blow_step=int(self.blow_step[i]), series=row(self.series))
+
+    def snapshots(self) -> list:
+        """[(t, field)] every cfg.snapshot_stride steps of a one-path series."""
+        stride = self.cfg.snapshot_stride
+        if not stride or self.series is None:
+            return []
+        return [(self.times[s], SpectralField(self.cfg.n, self.series[s].copy()))
+                for s in range(0, self.times.size, stride)]
 
 
 def stopping_time_tau_r_series(w2: np.ndarray, times: np.ndarray, R: float) -> np.ndarray:
@@ -206,11 +245,7 @@ def stopping_time_tau_r(record, R: float) -> float:
     return float(stopping_time_tau_r_series(w2, record.times, R)[0])
 
 
-# -- the batched stepper -------------------------------------------------------
-
-def _w_weights(cfg: SimConfig, tab) -> np.ndarray:
-    return tab.lam ** (2.0 * theta(cfg.alpha0))
-
+# -- the scheme ----------------------------------------------------------------
 
 def _norm_sq(coeffs: np.ndarray, *weights):
     """Per-path 2 sum_k w_k |u_k|^2 for each weight vector w (None: unweighted).
@@ -224,28 +259,99 @@ def _norm_sq(coeffs: np.ndarray, *weights):
     return sums[0] if len(sums) == 1 else sums
 
 
-def _chi_of(cfg: SimConfig, w2: np.ndarray) -> np.ndarray:
-    if cfg.mode == "cutoff":
-        return np.asarray(chi_r(w2, cfg.r), dtype=np.float64)
-    return np.ones_like(w2)
+class Scheme:
+    """The em or expo-em step of one SimConfig for states of one complex dtype.
 
+    Every stepper in this module steps through `advance` and every tangent
+    flow through `tangent`, so the weak-strong, gradient and control results
+    exercise the arithmetic that produces the ensembles.
+    """
+
+    def __init__(self, cfg: SimConfig, cdtype):
+        real = np.finfo(cdtype).dtype
+        self.cfg = cfg
+        self.tab = mode_table(cfg.n)
+        self.cov = cfg.covariance()
+        self.grid = dealias_grid(cfg.n, cfg.pad_factor)
+        self.lam = self.tab.lam.astype(real)
+        # W-norms are summed in double whatever the state's precision
+        self.w_w = self.tab.lam ** (2.0 * theta(cfg.alpha0))
+        self.w_pair = self.w_w.astype(real)
+        self.decay = (ou_decay(self.cov, cfg.dt, cfg.nu).astype(real)
+                      if cfg.scheme == "expo-em" else None)
+
+    def chi(self, w2: np.ndarray) -> np.ndarray | None:
+        """chi_R(|u|_W^2) per path in cutoff mode; None (no weighting) otherwise."""
+        if self.cfg.mode != "cutoff":
+            return None
+        return np.asarray(chi_r(w2, self.cfg.r), dtype=np.float64)
+
+    def advance(self, u: np.ndarray, b: np.ndarray | None, chi=None, g=None) -> np.ndarray:
+        """One step of the (P, K, 3) batch u with advection b, weighted per path
+        by chi when given, plus the noise increment g when given.
+
+        b None is the Stokes step.  A missing g adds nothing, so no -0 turns
+        into +0.
+        """
+        dt = self.cfg.dt
+        if self.decay is None:
+            drift = self.cfg.nu * self.lam[None, :, None] * u
+            if b is not None:
+                drift = drift + (b if chi is None else chi[:, None, None] * b)
+            out = u - dt * drift
+        elif b is None:
+            out = self.decay[None, :, None] * u
+        else:
+            out = self.decay[None, :, None] * (
+                u - dt * (b if chi is None else chi[:, None, None] * b))
+        return out if g is None else out + g
+
+    def tangent(self, u: np.ndarray, y: np.ndarray):
+        """The advection and its derivative in direction y, per path:
+
+            chi B(u, u)  and  chi (B(y, u) + B(u, y)) + 2 chi' <u, y>_W B(u, u)
+
+        with chi, chi' at |u|_W^2 in cutoff mode (1 and 0 otherwise), from one
+        b_self_and_linpair call; (None, None) in stokes mode.
+        """
+        # looked up per call, so a wrapper set on the nonlinearity module applies
+        from .nonlinearity import b_self_and_linpair
+        if self.cfg.mode == "stokes":
+            return None, None
+        b, lin = b_self_and_linpair(u, y, self.tab, self.grid)
+        if self.cfg.mode != "cutoff":
+            return b, lin
+        real = self.lam.dtype
+        w2 = _norm_sq(u, self.w_w)
+        chi = np.asarray(chi_r(w2, self.cfg.r), dtype=real)
+        chip = np.asarray(chi_r_prime(w2, self.cfg.r), dtype=real)
+        lin = chi[:, None, None] * lin
+        if np.any(chip != 0.0):
+            wpair = 2.0 * np.real(np.einsum("pkj,pkj,k->p", u, np.conj(y), self.w_pair))
+            lin = lin + (2.0 * chip * wpair).astype(real)[:, None, None] * b
+        return chi[:, None, None] * b, lin
+
+
+# -- the batched stepper -------------------------------------------------------
 
 def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(), chunk: int = CHUNK,
                  noise_provider: str = "native", keep_final: bool = True,
                  keep_series: bool = False, workers: int = 1) -> EnsembleRecord:
     """Integrate an ensemble of paths, tracking the martingale-problem functionals.
 
-    phis: sequence of TestFunction-like objects exposing .coeffs, .a_coeffs.
-    Results are independent of `chunk`-internal batching because every path's
-    arithmetic touches only its own slice; CHUNK is fixed for reproducibility.
+    phis: sequence of TestFunction-like objects exposing .coeffs, .a_coeffs
+    and optionally .name.  Results are independent of `chunk`-internal
+    batching because every path's arithmetic touches only its own slice;
+    CHUNK is fixed for reproducibility.
     """
     path_ids = np.asarray(path_ids, dtype=np.int64)
     parts = [slice(i, min(i + chunk, path_ids.size))
              for i in range(0, path_ids.size, chunk)]
     args = [(cfg, path_ids[s], _x0_block(x0, s, path_ids.size), phis,
              noise_provider, keep_final, keep_series) for s in parts]
-    results = _map_tasks(_run_chunk_star, args, workers)
-    return _merge_records(cfg, path_ids, results)
+    results = _map_tasks(_run_chunk, args, workers)
+    names = tuple(getattr(p, "name", f"phi{j}") for j, p in enumerate(phis))
+    return _merge_records(cfg, path_ids, names, results)
 
 
 def _pool_init():
@@ -254,12 +360,12 @@ def _pool_init():
 
 
 def _map_tasks(fn, args, workers: int):
-    """Order-preserving chunk map; byte-identical for any worker count."""
+    """Order-preserving map of fn(*a); byte-identical for any worker count."""
     if workers > 1 and len(args) > 1:
         import multiprocessing as mp
         with mp.get_context("fork").Pool(workers, initializer=_pool_init) as pool:
-            return pool.map(fn, args)
-    return [fn(a) for a in args]
+            return pool.starmap(fn, args)
+    return [fn(*a) for a in args]
 
 
 def _x0_block(x0, sl: slice, total: int):
@@ -273,25 +379,16 @@ def _x0_block(x0, sl: slice, total: int):
     raise ValueError("x0 must be (K,3) or (P,K,3)")
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
-
-
 def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
                keep_final: bool, keep_series: bool) -> dict:
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
+    sch = Scheme(cfg, np.complex128)
     S = cfg.n_steps
-    P, K = ids.size, tab.n_modes
+    P, K = ids.size, sch.tab.n_modes
     dt, nu = cfg.dt, cfg.nu
-    w_w = _w_weights(cfg, tab)
-    lam = tab.lam
 
     u = np.zeros((P, K, 3), dtype=np.complex128)
     if x0 is not None:
         u[:] = x0
-    decay = ou_decay(cov, dt, nu) if cfg.scheme == "expo-em" else None
 
     h2 = np.empty((P, S + 1)); v2 = np.empty((P, S + 1)); w2 = np.empty((P, S + 1))
     int_v2 = np.zeros((P, S + 1))
@@ -307,7 +404,7 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
 
     use_b = cfg.mode != "stokes"
     for s in range(S + 1):
-        h2[:, s], v2[:, s], w2[:, s] = _norm_sq(u, None, lam, w_w)
+        h2[:, s], v2[:, s], w2[:, s] = _norm_sq(u, None, sch.lam, sch.w_w)
         if n_phi:
             for j, phi in enumerate(phis):
                 proj[j, :, s] = pair_with(u, phi.coeffs)
@@ -322,17 +419,9 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
             int_h2nm2_v2[n][:, s + 1] = int_h2nm2_v2[n][:, s] + dt * hp * v2[:, s]
             int_h2nm2[n][:, s + 1] = int_h2nm2[n][:, s] + dt * hp
 
-        b = b_self_batch(u, tab, grid) if use_b else None
-        chi = _chi_of(cfg, w2[:, s])
-        g = _noise_block(cfg, cov, ids, s, noise_provider)
-        if cfg.scheme == "em":
-            drift = nu * lam[None, :, None] * u
-            if use_b:
-                drift = drift + chi[:, None, None] * b
-            u_next = u - dt * drift + g
-        else:
-            core = u - dt * (chi[:, None, None] * b) if use_b else u
-            u_next = decay[None, :, None] * core + g
+        b = b_self_batch(u, sch.tab, sch.grid) if use_b else None
+        g = _noise_block(cfg, sch.cov, ids, s, noise_provider)
+        u_next = sch.advance(u, b, sch.chi(w2[:, s]), g)
         if n_phi:
             du = u_next - u
             for j, phi in enumerate(phis):
@@ -352,7 +441,7 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
     out = dict(ids=ids, h2=h2, v2=v2, w2=w2, int_v2=int_v2,
                int_h2nm2_v2=int_h2nm2_v2, int_h2nm2=int_h2nm2,
                mphi=mphi, proj=proj, blown=blown, blow_step=blow_step,
-               sigma_sq=cov.sigma_sq_total)
+               sigma_sq=sch.cov.sigma_sq_total)
     if keep_final:
         out["final"] = u
     if keep_series:
@@ -360,7 +449,8 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
     return out
 
 
-def _merge_records(cfg: SimConfig, path_ids: np.ndarray, chunks: list[dict]) -> EnsembleRecord:
+def _merge_records(cfg: SimConfig, path_ids: np.ndarray, names: tuple,
+                   chunks: list[dict]) -> EnsembleRecord:
     S = cfg.n_steps
     times = np.arange(S + 1) * cfg.dt
 
@@ -377,7 +467,7 @@ def _merge_records(cfg: SimConfig, path_ids: np.ndarray, chunks: list[dict]) -> 
         h2=cat("h2"), v2=cat("v2"), w2=cat("w2"), int_v2=cat("int_v2"),
         int_h2nm2_v2={n: np.concatenate([c["int_h2nm2_v2"][n] for c in chunks]) for n in moments},
         int_h2nm2={n: np.concatenate([c["int_h2nm2"][n] for c in chunks]) for n in moments},
-        sigma_sq=chunks[0]["sigma_sq"],
+        sigma_sq=chunks[0]["sigma_sq"], phi_names=names,
         mphi=cat("mphi"), proj_phi=cat("proj"),
         final=cat("final") if "final" in chunks[0] else None,
         blown=cat("blown"), blow_step=cat("blow_step"),
@@ -388,30 +478,18 @@ def _merge_records(cfg: SimConfig, path_ids: np.ndarray, chunks: list[dict]) -> 
 def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -> SpectralField:
     """One scheme step of a single state, with the given noise increment.
 
-    Matches the ensemble engine's arithmetic exactly (same kernels, same
-    cutoff evaluation); deterministic/stokes modes ignore/skip the advection
-    and noise accordingly.
+    Matches the ensemble engine's arithmetic exactly (same scheme, kernels
+    and cutoff evaluation); deterministic/stokes modes ignore/skip the noise
+    and advection accordingly.
     """
-    from .nonlinearity import b_self_batch
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
+    sch = Scheme(cfg, np.complex128)
     uc = u.coeffs[None]
-    w2 = _norm_sq(uc, _w_weights(cfg, tab))
-    chi = _chi_of(cfg, w2)
-    b = b_self_batch(uc, tab, grid) if cfg.mode != "stokes" else None
+    b = b_self_batch(uc, sch.tab, sch.grid) if cfg.mode != "stokes" else None
+    # zero noise is added, not skipped, as the engine adds its zero noise block
     g = np.zeros_like(uc)
     if noise is not None and cfg.mode != "deterministic":
         g = noise.coeffs[None]
-    if cfg.scheme == "em":
-        drift = cfg.nu * tab.lam[None, :, None] * uc
-        if b is not None:
-            drift = drift + chi[:, None, None] * b
-        out = uc - cfg.dt * drift + g
-    else:
-        decay = ou_decay(cov, cfg.dt, cfg.nu)
-        core = uc - cfg.dt * (chi[:, None, None] * b) if b is not None else uc
-        out = decay[None, :, None] * core + g
+    out = sch.advance(uc, b, sch.chi(_norm_sq(uc, sch.w_w)), g)
     if not np.isfinite(out).all():
         raise BlowupError(0, -1)
     return SpectralField(cfg.n, out[0])
@@ -419,61 +497,9 @@ def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -
 
 # -- single-path front door ----------------------------------------------------
 
-@dataclass
-class PathRecord:
-    """One path's trajectory functionals plus optional field snapshots."""
-
-    cfg: SimConfig
-    times: np.ndarray
-    h2: np.ndarray
-    v2: np.ndarray
-    w2: np.ndarray
-    int_v2: np.ndarray
-    int_h2nm2_v2: dict
-    int_h2nm2: dict
-    sigma_sq: float
-    mphi: dict                      # name -> (S+1,) accumulator
-    snapshots: list                 # [(t, SpectralField)]
-    blown: bool
-    blow_step: int
-    series: np.ndarray | None = None
-
-    def energy_series(self, n: int) -> np.ndarray:
-        nu = self.cfg.nu
-        if n == 1:
-            diss, ito = self.int_v2, self.times
-        else:
-            diss, ito = self.int_h2nm2_v2[n], self.int_h2nm2[n]
-        return (self.h2**n + 2.0 * n * nu * diss
-                - self.h2[0]**n - n * (2 * n - 1) * self.sigma_sq * ito)
-
-    def tau_r(self, R: float) -> float:
-        return stopping_time_tau_r(self, R)
-
-
-def _record_from_ensemble(rec: EnsembleRecord, cfg: SimConfig, phis, names) -> PathRecord:
-    snapshots = []
-    if cfg.snapshot_stride and rec.series is not None:
-        for s in range(0, rec.times.size, cfg.snapshot_stride):
-            snapshots.append((rec.times[s], SpectralField(cfg.n, rec.series[0, s].copy())))
-    mphi = {}
-    if rec.mphi is not None:
-        for j, name in enumerate(names):
-            mphi[name] = rec.mphi[j, 0]
-    return PathRecord(
-        cfg=cfg, times=rec.times, h2=rec.h2[0], v2=rec.v2[0], w2=rec.w2[0],
-        int_v2=rec.int_v2[0],
-        int_h2nm2_v2={n: a[0] for n, a in rec.int_h2nm2_v2.items()},
-        int_h2nm2={n: a[0] for n, a in rec.int_h2nm2.items()},
-        sigma_sq=rec.sigma_sq, mphi=mphi, snapshots=snapshots,
-        blown=bool(rec.blown[0]), blow_step=int(rec.blow_step[0]),
-        series=rec.series[0] if rec.series is not None else None,
-    )
-
-
 def simulate_path(cfg: SimConfig, path_id: int = 0, x0: SpectralField | None = None,
                   phis=(), keep_series: bool | None = None,
-                  raise_on_blowup: bool = True) -> PathRecord:
+                  raise_on_blowup: bool = True) -> EnsembleRecord:
     """Integrate one path.
 
     A nonfinite state aborts with BlowupError carrying the step index and
@@ -481,9 +507,7 @@ def simulate_path(cfg: SimConfig, path_id: int = 0, x0: SpectralField | None = N
     """
     keep = bool(cfg.snapshot_stride) if keep_series is None else keep_series
     x = None if x0 is None else x0.coeffs
-    rec = run_ensemble(cfg, [path_id], x0=x, phis=phis, keep_series=keep)
-    names = [getattr(p, "name", f"phi{j}") for j, p in enumerate(phis)]
-    record = _record_from_ensemble(rec, cfg, phis, names)
+    record = run_ensemble(cfg, [path_id], x0=x, phis=phis, keep_series=keep).path(0)
     if record.blown and raise_on_blowup:
         err = BlowupError(record.blow_step, path_id)
         err.partial_record = record
@@ -492,54 +516,53 @@ def simulate_path(cfg: SimConfig, path_id: int = 0, x0: SpectralField | None = N
 
 
 def solve_stokes_z(cfg: SimConfig, path_id: int = 0,
-                   keep_series: bool = True) -> PathRecord:
+                   keep_series: bool = True) -> EnsembleRecord:
     """Linear (advection-off) path driven by the same noise stream as the
     full dynamics for the same (seed, path)."""
     zcfg = replace(cfg, mode="stokes")
-    rec = run_ensemble(zcfg, [path_id], keep_series=keep_series)
-    return _record_from_ensemble(rec, zcfg, (), ())
+    return run_ensemble(zcfg, [path_id], keep_series=keep_series).path(0)
 
 
-def solve_auxiliary_v(u0: SpectralField, z_series: np.ndarray, cfg: SimConfig) -> PathRecord:
+def _one_path(cfg: SimConfig, sch: Scheme, x: np.ndarray, advance) -> EnsembleRecord:
+    """One-path record of u_{s+1} = advance(u_s, s) from u_0 = x over cfg's grid.
+
+    A nonfinite state is censused once and continues as NaN.
+    """
+    S = cfg.n_steps
+    u = x[None, :, :].astype(np.complex128)
+    h2 = np.empty(S + 1); v2 = np.empty(S + 1); w2 = np.empty(S + 1)
+    series = np.empty((S + 1, sch.tab.n_modes, 3), dtype=np.complex128)
+    blown, blow_step = False, -1
+    for s in range(S + 1):
+        h2[s], v2[s], w2[s] = (a[0] for a in _norm_sq(u, None, sch.lam, sch.w_w))
+        series[s] = u[0]
+        if s == S:
+            break
+        u = advance(u, s)
+        if not np.isfinite(u).all() and not blown:
+            blown, blow_step = True, s + 1
+            u[:] = np.nan
+    return EnsembleRecord(cfg=cfg, path_ids=None, times=np.arange(S + 1) * cfg.dt,
+                          h2=h2, v2=v2, w2=w2,
+                          int_v2=np.concatenate([[0.0], np.cumsum(v2[:-1]) * cfg.dt]),
+                          int_h2nm2_v2={}, int_h2nm2={}, sigma_sq=sch.cov.sigma_sq_total,
+                          phi_names=(), blown=blown, blow_step=blow_step, series=series)
+
+
+def solve_auxiliary_v(u0: SpectralField, z_series: np.ndarray, cfg: SimConfig) -> EnsembleRecord:
     """Deterministic auxiliary equation dv/dt + Av + B(v+z, v+z) = 0.
 
     z_series is the (S+1, K, 3) trajectory of the linear part on the same
     grid; v + z reconstructs the full-mode path driven by that noise.
     """
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
-    S = cfg.n_steps
-    if z_series.shape[0] != S + 1:
+    if z_series.shape[0] != cfg.n_steps + 1:
         raise ValueError("z series grid does not match the configured horizon")
-    dt, nu = cfg.dt, cfg.nu
-    lam = tab.lam
-    decay = ou_decay(cov, dt, nu) if cfg.scheme == "expo-em" else None
-    v = u0.coeffs[None, :, :].astype(np.complex128).copy()
-    h2 = np.empty(S + 1); v2 = np.empty(S + 1); w2 = np.empty(S + 1)
-    w_w = _w_weights(cfg, tab)
-    series = np.empty((S + 1, tab.n_modes, 3), dtype=np.complex128)
-    blown, blow_step = False, -1
-    for s in range(S + 1):
-        h2[s], v2[s], w2[s] = (x[0] for x in _norm_sq(v, None, lam, w_w))
-        series[s] = v[0]
-        if s == S:
-            break
-        total = v + z_series[None, s]
-        b = b_self_batch(total, tab, grid)
-        if cfg.scheme == "em":
-            v = v - dt * (nu * lam[None, :, None] * v + b)
-        else:
-            v = decay[None, :, None] * (v - dt * b)
-        if not np.isfinite(v).all() and not blown:
-            blown, blow_step = True, s + 1
-            v[:] = np.nan
-    times = np.arange(S + 1) * dt
-    return PathRecord(cfg=cfg, times=times, h2=h2, v2=v2, w2=w2,
-                      int_v2=np.concatenate([[0.0], np.cumsum(v2[:-1]) * dt]),
-                      int_h2nm2_v2={}, int_h2nm2={}, sigma_sq=cov.sigma_sq_total,
-                      mphi={}, snapshots=[], blown=blown, blow_step=blow_step,
-                      series=series)
+    sch = Scheme(cfg, np.complex128)
+
+    def advance(v, s):
+        return sch.advance(v, b_self_batch(v + z_series[None, s], sch.tab, sch.grid))
+
+    return _one_path(cfg, sch, u0.coeffs, advance)
 
 
 def linearized_flow(u_series: np.ndarray, h: SpectralField, cfg: SimConfig) -> np.ndarray:
@@ -548,51 +571,16 @@ def linearized_flow(u_series: np.ndarray, h: SpectralField, cfg: SimConfig) -> n
     Solves the linearization of the cutoff dynamics with Du(0) = h, using the
     same scheme and grid that produced u_series.  Returns (S+1, K, 3).
     """
-    if cfg.mode not in ("cutoff", "full", "deterministic", "stokes"):
-        raise ValueError("unsupported mode")
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
     S = cfg.n_steps
     if u_series.shape[0] != S + 1:
         raise ValueError("u series grid does not match the configured horizon")
-    dt, nu = cfg.dt, cfg.nu
-    lam = tab.lam
-    w_w = _w_weights(cfg, tab)
-    decay = ou_decay(cov, dt, nu) if cfg.scheme == "expo-em" else None
-    y = h.coeffs[None, :, :].astype(np.complex128).copy()
-    out = np.empty((S + 1, tab.n_modes, 3), dtype=np.complex128)
-    out[0] = y[0]
+    sch = Scheme(cfg, np.complex128)
+    out = np.empty((S + 1,) + h.coeffs.shape, dtype=np.complex128)
+    out[0] = h.coeffs
     for s in range(S):
-        u = u_series[None, s]
-        y = _linearized_step(y, u, cfg, tab, cov, grid, lam, w_w, decay)
-        out[s + 1] = y[0]
+        _, lin = sch.tangent(u_series[None, s], out[None, s])
+        out[s + 1] = sch.advance(out[None, s], lin)[0]
     return out
-
-
-def _linearized_step(y, u, cfg, tab, cov, grid, lam, w_w, decay):
-    """One exact-Jacobian step of the scheme for a batch of tangents."""
-    dt, nu = cfg.dt, cfg.nu
-    if cfg.mode == "stokes":
-        lin = None
-    else:
-        lin = b_linpair_batch(u, y, tab, grid)
-        if cfg.mode == "cutoff":
-            w2 = _norm_sq(u, w_w)
-            chi = np.asarray(chi_r(w2, cfg.r))
-            chip = np.asarray(chi_r_prime(w2, cfg.r))
-            lin = chi[:, None, None] * lin
-            if np.any(chip != 0.0):
-                buu = b_self_batch(u, tab, grid)
-                wpair = 2.0 * np.real(np.einsum("pkj,pkj,k->p", u, np.conj(y), w_w))
-                lin = lin + (2.0 * chip * wpair)[:, None, None] * buu
-    if cfg.scheme == "em":
-        drift = nu * lam[None, :, None] * y
-        if lin is not None:
-            drift = drift + lin
-        return y - dt * drift
-    core = y - dt * lin if lin is not None else y
-    return decay[None, :, None] * core
 
 
 # -- weak-strong paired runs ---------------------------------------------------
@@ -613,19 +601,12 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
     absolute coefficient discrepancy seen over that window (0.0 on pass).
     """
     full_cfg = replace(cfg, mode="full", r=None)
-    cut_cfg = replace(cfg, mode="cutoff", r=R)
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
+    sch = Scheme(full_cfg, np.complex128)
     S = cfg.n_steps
     path_ids = np.asarray(path_ids, dtype=np.int64)
     P = path_ids.size
-    dt, nu = cfg.dt, cfg.nu
-    lam = tab.lam
-    w_w = _w_weights(cfg, tab)
-    decay = ou_decay(cov, dt, nu) if cfg.scheme == "expo-em" else None
 
-    uf = np.zeros((P, tab.n_modes, 3), dtype=np.complex128)
+    uf = np.zeros((P, sch.tab.n_modes, 3), dtype=np.complex128)
     if x0 is not None:
         uf[:] = x0
     uc = uf.copy()
@@ -636,14 +617,9 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
     mismatch = np.zeros(P, dtype=np.int64)
     max_disc = 0.0
 
-    def advance(u, b, g, chi):
-        if cfg.scheme == "em":
-            return u - dt * (nu * lam[None, :, None] * u + chi[:, None, None] * b) + g
-        return decay[None, :, None] * (u - dt * (chi[:, None, None] * b)) + g
-
     for s in range(S + 1):
-        w2f[:, s] = _norm_sq(uf, w_w)
-        w2c[:, s] = _norm_sq(uc, w_w)
+        w2f[:, s] = _norm_sq(uf, sch.w_w)
+        w2c[:, s] = _norm_sq(uc, sch.w_w)
         hit = (w2c[:, s] >= R) & (detected > S)
         detected[hit] = s
         live = detected >= s  # up to and including the detection step
@@ -655,13 +631,13 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
                 max_disc = max(max_disc, float(np.abs(uf[bad] - uc[bad]).max()))
         if s == S:
             break
-        g = _noise_block(full_cfg, cov, path_ids, s)
-        bf = b_self_batch(uf, tab, grid)
-        bc = b_self_batch(uc, tab, grid)
-        uf = advance(uf, bf, g, np.ones(P))
-        uc = advance(uc, bc, g, np.asarray(chi_r(w2c[:, s], R)))
+        g = _noise_block(full_cfg, sch.cov, path_ids, s)
+        bf = b_self_batch(uf, sch.tab, sch.grid)
+        bc = b_self_batch(uc, sch.tab, sch.grid)
+        uf = sch.advance(uf, bf, None, g)
+        uc = sch.advance(uc, bc, np.asarray(chi_r(w2c[:, s], R)), g)
 
-    times = np.arange(S + 1) * dt
+    times = np.arange(S + 1) * cfg.dt
     tau_f = stopping_time_tau_r_series(w2f, times, R)
     tau_c = stopping_time_tau_r_series(w2c, times, R)
     return dict(times=times, tau_full=tau_f, tau_cutoff=tau_c,
@@ -672,50 +648,31 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
 
 # -- controllability -----------------------------------------------------------
 
-def _euler_drift(u, cfg, tab, cov, grid, R):
-    lam = mode_table(cfg.n).lam
-    w2 = _norm_sq(u, _w_weights(cfg, tab))
-    chi = np.asarray(chi_r(w2, R))
-    b = b_self_batch(u, tab, grid)
-    return cfg.nu * lam[None, :, None] * u + chi[:, None, None] * b
+def _control_scheme(cfg: SimConfig, R: float, T: float) -> Scheme:
+    """The forward-Euler (em) cut-off dynamics at level R over horizon T."""
+    return Scheme(replace(cfg, t_end=T, scheme="em", mode="cutoff", r=R), np.complex128)
+
+
+def _euler_drift(sch: Scheme, u: np.ndarray, g: np.ndarray | None) -> np.ndarray:
+    """One forward-Euler step of the cut-off dynamics, plus the control increment g."""
+    b = b_self_batch(u, sch.tab, sch.grid)
+    return sch.advance(u, b, sch.chi(_norm_sq(u, sch.w_w)), g)
 
 
 def solve_controlled(x: SpectralField, w_increments: np.ndarray, R: float,
-                     cfg: SimConfig) -> PathRecord:
+                     cfg: SimConfig) -> EnsembleRecord:
     """Forward-Euler cutoff dynamics driven by control increments.
 
     The step matches build_control's residual definition, so replaying a
     constructed control reproduces the designed trajectory to roundoff.
+    Forward Euler needs dt*nu*lam_max <= 1, which the em scheme's config
+    check enforces.
     """
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
-    S = cfg.n_steps
-    if w_increments.shape[0] != S:
+    if w_increments.shape[0] != cfg.n_steps:
         raise ValueError("control increments must cover every step")
-    lam_max = float(tab.lam.max())
-    if cfg.dt * cfg.nu * lam_max > 1.0 + 1e-12:
-        raise ValueError("forward Euler needs dt*nu*lam_max <= 1 for the control loop")
-    u = x.coeffs[None, :, :].astype(np.complex128).copy()
-    w_w = _w_weights(cfg, tab)
-    h2 = np.empty(S + 1); v2 = np.empty(S + 1); w2 = np.empty(S + 1)
-    series = np.empty((S + 1, tab.n_modes, 3), dtype=np.complex128)
-    blown, blow_step = False, -1
-    for s in range(S + 1):
-        h2[s], v2[s], w2[s] = (x[0] for x in _norm_sq(u, None, tab.lam, w_w))
-        series[s] = u[0]
-        if s == S:
-            break
-        u = u - cfg.dt * _euler_drift(u, cfg, tab, cov, grid, R) + w_increments[None, s]
-        if not np.isfinite(u).all() and not blown:
-            blown, blow_step = True, s + 1
-            u[:] = np.nan
-    times = np.arange(S + 1) * cfg.dt
-    return PathRecord(cfg=cfg, times=times, h2=h2, v2=v2, w2=w2,
-                      int_v2=np.concatenate([[0.0], np.cumsum(v2[:-1]) * cfg.dt]),
-                      int_h2nm2_v2={}, int_h2nm2={}, sigma_sq=cov.sigma_sq_total,
-                      mphi={}, snapshots=[], blown=blown, blow_step=blow_step,
-                      series=series)
+    sch = _control_scheme(cfg, R, cfg.t_end)
+    return _one_path(cfg, sch, x.coeffs,
+                     lambda u, s: _euler_drift(sch, u, w_increments[None, s]))
 
 
 def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
@@ -727,10 +684,8 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
     y and defines the control as the integrated residual.  Returns
     (w_increments (S, K, 3), designed_series (S+1, K, 3), info dict).
     """
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
-    w_w = _w_weights(cfg, tab)
+    sch = _control_scheme(cfg, R, T)
+    n_modes, w_w = sch.tab.n_modes, sch.w_w
     if _norm_sq(x.coeffs[None], w_w)[0] > R / 2 + 1e-12:
         raise ControlError("|x|_W^2 exceeds R/2")
     if _norm_sq(y.coeffs[None], w_w)[0] > R / 2 + 1e-12:
@@ -738,17 +693,16 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
     S = int(round(T / cfg.dt))
     if abs(S * cfg.dt - T) > 1e-9 or S < 2:
         raise ControlError("horizon must be an integer (>= 2) multiple of dt")
-    cfgT = replace(cfg, t_end=T, mode="cutoff", r=R)
 
     # leg one: uncontrolled, shrink the budget until the W-ball holds
     budget = S // 2
     for _ in range(max_retries):
-        u = x.coeffs[None, :, :].astype(np.complex128).copy()
-        leg = np.empty((budget + 1, tab.n_modes, 3), dtype=np.complex128)
+        u = x.coeffs[None, :, :].astype(np.complex128)
+        leg = np.empty((budget + 1, n_modes, 3), dtype=np.complex128)
         leg[0] = u[0]
         ok = budget
         for s in range(budget):
-            u = u - cfg.dt * _euler_drift(u, cfgT, tab, cov, grid, R)
+            u = _euler_drift(sch, u, None)
             leg[s + 1] = u[0]
             if _norm_sq(u, w_w)[0] > R:
                 ok = s  # last index still inside the ball
@@ -762,17 +716,16 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
         raise ControlError("could not find a usable free-drift window")
     t_star_idx = budget
 
-    designed = np.empty((S + 1, tab.n_modes, 3), dtype=np.complex128)
+    designed = np.empty((S + 1, n_modes, 3), dtype=np.complex128)
     designed[:t_star_idx + 1] = leg[:t_star_idx + 1]
     frac = (np.arange(t_star_idx, S + 1) - t_star_idx) / (S - t_star_idx)
     designed[t_star_idx:] = ((1.0 - frac)[:, None, None] * leg[t_star_idx]
                              + frac[:, None, None] * y.coeffs[None])
     designed[S] = y.coeffs
 
-    w_inc = np.zeros((S, tab.n_modes, 3), dtype=np.complex128)
+    w_inc = np.zeros((S, n_modes, 3), dtype=np.complex128)
     for s in range(t_star_idx, S):
-        u = designed[None, s]
-        free = u - cfg.dt * _euler_drift(u, cfgT, tab, cov, grid, R)
+        free = _euler_drift(sch, designed[None, s], None)
         w_inc[s] = designed[s + 1] - free[0]
     sup_w2 = float(_norm_sq(designed, w_w).max())
     if sup_w2 > R * (1.0 + 1e-12):
@@ -803,93 +756,45 @@ def run_tangent_ensemble(cfg: SimConfig, x: np.ndarray, h: np.ndarray, path_ids,
     path_ids = np.asarray(path_ids, dtype=np.int64)
     tasks = [(cfg, x, h, path_ids[lo:lo + chunk], precision)
              for lo in range(0, path_ids.size, chunk)]
-    results = _map_tasks(_tangent_chunk_star, tasks, workers)
+    results = _map_tasks(_tangent_chunk, tasks, workers)
     return dict(final=np.concatenate([r[0] for r in results]),
                 bel_sum=np.concatenate([r[1] for r in results]), n_steps=cfg.n_steps)
-
-
-def _tangent_chunk_star(args):
-    return _tangent_chunk(*args)
 
 
 def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray,
                    precision: str = "double"):
     """Single precision trades ~1e-7 relative state error (far below any
     Monte-Carlo standard error) for about 1.6x throughput."""
-    from .nonlinearity import b_self_and_linpair
     cdtype = np.complex64 if precision == "single" else np.complex128
-    tab = mode_table(cfg.n)
-    cov = cfg.covariance()
-    grid = dealias_grid(cfg.n, cfg.pad_factor)
-    S = cfg.n_steps
-    dt, nu = cfg.dt, cfg.nu
-    lam = tab.lam
-    w_w = _w_weights(cfg, tab)
-    if cfg.scheme == "expo-em":
-        decay = ou_decay(cov, dt, nu)
-        var_k = ou_variance(cov, dt, nu)
-    else:
-        decay = None
-        var_k = cov.sigma**2 * dt
-    inv_var = 1.0 / var_k
-    if cdtype == np.complex64:
-        lam = lam.astype(np.float32)
-        inv_var = inv_var.astype(np.float32)
-        if decay is not None:
-            decay = decay.astype(np.float32)
+    sch = Scheme(cfg, cdtype)
+    inv_var = (1.0 / scheme_step_variance(cfg, sch.cov)).astype(sch.lam.dtype)
     P = ids.size
     u = np.broadcast_to(x, (P,) + x.shape).astype(cdtype).copy()
     y = np.broadcast_to(h, (P,) + h.shape).astype(cdtype).copy()
     acc = np.zeros(P)
-    for s in range(S):
-        if cfg.mode == "stokes":
-            b = lin = None
-        else:
-            b, lin = b_self_and_linpair(u, y, tab, grid)
-        if cfg.mode == "cutoff":
-            w2 = _norm_sq(u, w_w)
-            chi = np.asarray(chi_r(w2, cfg.r), dtype=u.real.dtype)
-            chip = np.asarray(chi_r_prime(w2, cfg.r), dtype=u.real.dtype)
-            lin = chi[:, None, None] * lin
-            if np.any(chip != 0.0):
-                wpair = 2.0 * np.real(np.einsum("pkj,pkj,k->p", u, np.conj(y),
-                                                w_w.astype(u.real.dtype)))
-                lin = lin + (2.0 * chip * wpair).astype(u.real.dtype)[:, None, None] * b
-            drift_b = chi[:, None, None] * b
-        else:
-            drift_b = b
-        g = _noise_block(cfg, cov, ids, s)
-        if cdtype == np.complex64:
-            g = g.astype(cdtype)
-        if cfg.scheme == "em":
-            u = u - dt * (nu * lam[None, :, None] * u) + g
-            y = y - dt * (nu * lam[None, :, None] * y)
-            if b is not None:
-                u = u - dt * drift_b
-                y = y - dt * lin
-        else:
-            if b is not None:
-                u = decay[None, :, None] * (u - dt * drift_b) + g
-                y = decay[None, :, None] * (y - dt * lin)
-            else:
-                u = decay[None, :, None] * u + g
-                y = decay[None, :, None] * y
+    for s in range(cfg.n_steps):
+        b, lin = sch.tangent(u, y)
+        g = _noise_block(cfg, sch.cov, ids, s).astype(cdtype, copy=False)
+        u = sch.advance(u, b, None, g)
+        y = sch.advance(y, lin)
         acc += 2.0 * np.real(np.einsum("pkj,pkj,k->p", y, np.conj(g), inv_var)).astype(np.float64)
     return u, acc
 
 
-def export_path_csv(rec: PathRecord, path, stride: int = 1) -> None:
-    """Time series export: t, H norm, V^2, W^2, E^1..E^n_max, M^phi columns."""
+def export_path_csv(rec: EnsembleRecord, path, stride: int = 1) -> None:
+    """Time series export of a one-path record: t, H norm, V^2, W^2,
+    E^1..E^n_max and the M^phi columns sorted by name."""
     moments = [1] + sorted(rec.int_h2nm2_v2.keys())
     energies = {n: rec.energy_series(n) for n in moments}
-    names = sorted(rec.mphi.keys())
+    mphi = dict(zip(rec.phi_names, () if rec.mphi is None else rec.mphi))
+    names = sorted(mphi)
     cols = ["t", "H", "V2", "W2"] + [f"E{n}" for n in moments] + [f"M_{m}" for m in names]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for s in range(0, rec.times.size, stride):
             row = [rec.times[s], np.sqrt(rec.h2[s]), rec.v2[s], rec.w2[s]]
             row += [energies[n][s] for n in moments]
-            row += [rec.mphi[m][s] for m in names]
+            row += [mphi[m][s] for m in names]
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 

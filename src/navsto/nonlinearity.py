@@ -220,14 +220,6 @@ def _divergence_form_contract(p_modes: np.ndarray, table: ModeTable) -> np.ndarr
     return TWO_PI * 1j * out
 
 
-def _products_to_modes(prods: np.ndarray, table: ModeTable, grid: int,
-                       workers: int) -> np.ndarray:
-    p_hat = _rfft_block(prods, table.n, workers)
-    # move the product axis next to the modes for the gather
-    gathered = _gather_half_scalar(p_hat, table, grid)
-    return gathered * grid**3
-
-
 # -- path tiling ----------------------------------------------------------------
 
 def tile_rows(row_bytes: int) -> int:
@@ -268,98 +260,87 @@ def map_tiles(run, total: int, tile: int, workers: int | None) -> None:
             run(lo)
 
 
-def _path_tiled(kernel, fields: tuple, n_products: int, table: ModeTable, grid: int,
-                workers: int | None) -> tuple:
-    """Run kernel(*fields, table, grid, workers) over tiles of the path axis.
+def _path_tiled(uc: np.ndarray, yc: np.ndarray | None, with_self: bool, table: ModeTable,
+                grid: int, workers: int | None) -> tuple:
+    """Run _divergence_tile over tiles of the path axis.
 
-    The kernel returns one (..., K, 3) array per six products.  Batch-1 calls
-    and batches of at most one tile run untiled with `workers` FFT threads;
-    larger (P, K, 3) batches run their tiles on `workers` threads, each tile
-    with single-threaded FFTs writing its own slice of the outputs.
+    Batch-1 calls and batches of at most one tile run untiled with `workers`
+    FFT threads; larger (P, K, 3) batches run their tiles on `workers`
+    threads, each tile with single-threaded FFTs writing its own slice of the
+    outputs.
     """
     if workers is None:
         workers = FFT_WORKERS
-    first = fields[0]
-    tile = tile_paths(n_products, grid, first.real.itemsize)
-    if (first.ndim != 3 or first.shape[0] <= tile
-            or any(f.shape != first.shape for f in fields)):
-        return kernel(*fields, table, grid, workers)
+    if yc is not None and yc.shape != uc.shape:
+        raise ValueError(f"u and y batches differ in shape: {uc.shape} vs {yc.shape}")
+    n_sets = int(with_self) + (yc is not None)
+    tile = tile_paths(6 * n_sets, grid, uc.real.itemsize)
+    if uc.ndim != 3 or uc.shape[0] <= tile:
+        return _divergence_tile(uc, yc, with_self, table, grid, workers)
     table.pad_layout(grid)   # fill the layout cache before the threads read it
-    outs = tuple(np.empty_like(first) for _ in range(n_products // 6))
+    outs = tuple(np.empty_like(uc) for _ in range(n_sets))
 
     def run(lo: int) -> None:
-        for out, part in zip(outs, kernel(*(f[lo:lo + tile] for f in fields),
-                                          table, grid, 1)):
-            out[lo:lo + tile] = part
+        part = slice(lo, lo + tile)
+        y = None if yc is None else yc[part]
+        for out, b in zip(outs, _divergence_tile(uc[part], y, with_self, table, grid, 1)):
+            out[part] = b
 
-    map_tiles(run, first.shape[0], tile, workers)
+    map_tiles(run, uc.shape[0], tile, workers)
     return outs
 
 
-# -- divergence-form kernels ----------------------------------------------------
+# -- divergence-form kernel -----------------------------------------------------
 
-def _self_tile(uc, table, grid, workers):
-    up = _irfft_block(_scatter_half(uc, table, grid), grid, workers)
-    lead = up.shape[:-4]
-    prods = np.empty(lead + (6,) + up.shape[-3:], dtype=up.dtype)
+def _divergence_tile(uc, yc, with_self, table, grid, workers):
+    """B(u, u) when with_self, then B(y, u) + B(u, y) when y is given.
+
+    Both sets are 2 pi i k_a (v_a w_j)^ then Leray: the divergence form,
+    which equals the convective form for divergence-free fields (the extra
+    triad factor u_l . l vanishes), at 9 transforms per set instead of 15.
+    The pair products u_a y_j + y_a u_j share u's transforms with the self
+    products u_a u_j, and all of them run through one forward transform.
+    """
+    fields = uc[..., None, :, :] if yc is None else np.stack([uc, yc], axis=-3)
+    phys = _irfft_block(_scatter_half(fields, table, grid), grid, workers)
+    up = phys[..., 0, :, :, :, :]
+    lead, cube = uc.shape[:-2], phys.shape[-3:]
+    n_sets = int(with_self) + (yc is not None)
+    prods = np.empty(lead + (6 * n_sets,) + cube, dtype=phys.dtype)
+    if yc is not None:
+        yp = phys[..., 1, :, :, :, :]
+        scratch = np.empty(lead + cube, dtype=phys.dtype)
     for i, (a, b) in enumerate(_PROD_PAIRS):
-        np.multiply(up[..., a, :, :, :], up[..., b, :, :, :], out=prods[..., i, :, :, :])
-    p_modes = _products_to_modes(prods, table, grid, workers)
-    return (leray_project(_divergence_form_contract(p_modes, table), table),)
+        if with_self:
+            np.multiply(up[..., a, :, :, :], up[..., b, :, :, :], out=prods[..., i, :, :, :])
+        if yc is not None:
+            sym = prods[..., 6 * with_self + i, :, :, :]
+            np.multiply(up[..., a, :, :, :], yp[..., b, :, :, :], out=sym)
+            np.multiply(yp[..., a, :, :, :], up[..., b, :, :, :], out=scratch)
+            sym += scratch
+    p_hat = _rfft_block(prods, table.n, workers)
+    p_modes = _gather_half_scalar(p_hat, table, grid) * grid**3
+    return tuple(leray_project(_divergence_form_contract(p_modes[..., 6 * j:6 * j + 6, :],
+                                                         table), table)
+                 for j in range(n_sets))
 
 
 def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int,
                  workers: int | None = None) -> np.ndarray:
-    """B(u, u) in divergence form: 2 pi i k_a (u_a u_j)^ then Leray.
-
-    Exactly equals the convective form for divergence-free u (the extra
-    triad factor u_l . l vanishes), at 9 transforms instead of 15.
-    """
-    return _path_tiled(_self_tile, (uc,), 6, table, grid, workers)[0]
-
-
-def _linpair_tile(uc, yc, table, grid, workers):
-    up = _irfft_block(_scatter_half(uc, table, grid), grid, workers)
-    yp = _irfft_block(_scatter_half(yc, table, grid), grid, workers)
-    lead = up.shape[:-4]
-    prods = np.empty(lead + (6,) + up.shape[-3:], dtype=up.dtype)
-    for i, (a, b) in enumerate(_PROD_PAIRS):
-        prods[..., i, :, :, :] = (up[..., a, :, :, :] * yp[..., b, :, :, :]
-                                  + yp[..., a, :, :, :] * up[..., b, :, :, :])
-    p_modes = _products_to_modes(prods, table, grid, workers)
-    return (leray_project(_divergence_form_contract(p_modes, table), table),)
+    """B(u, u) in divergence form for (..., K, 3) batches of divergence-free u."""
+    return _path_tiled(uc, None, True, table, grid, workers)[0]
 
 
 def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
                     workers: int | None = None) -> np.ndarray:
     """B(y, u) + B(u, y) in divergence form (both fields divergence-free)."""
-    return _path_tiled(_linpair_tile, (uc, yc), 6, table, grid, workers)[0]
-
-
-def _self_and_linpair_tile(uc, yc, table, grid, workers):
-    both = np.stack([uc, yc], axis=-3)            # (..., 2, K, 3)
-    lead = uc.shape[:-2]
-    hat = _scatter_half(both, table, grid)        # (..., 2, 3, 2N+1, 2N+1, N+1)
-    phys = _irfft_block(hat, grid, workers)
-    up, yp = phys[..., 0, :, :, :, :], phys[..., 1, :, :, :, :]
-    prods = np.empty(lead + (12,) + phys.shape[-3:], dtype=phys.dtype)
-    scratch = np.empty(lead + phys.shape[-3:], dtype=phys.dtype)
-    for i, (a, b) in enumerate(_PROD_PAIRS):
-        np.multiply(up[..., a, :, :, :], up[..., b, :, :, :], out=prods[..., i, :, :, :])
-        sym = prods[..., 6 + i, :, :, :]
-        np.multiply(up[..., a, :, :, :], yp[..., b, :, :, :], out=sym)
-        np.multiply(yp[..., a, :, :, :], up[..., b, :, :, :], out=scratch)
-        sym += scratch
-    p_modes = _products_to_modes(prods, table, grid, workers)
-    b_self = leray_project(_divergence_form_contract(p_modes[..., :6, :], table), table)
-    b_lin = leray_project(_divergence_form_contract(p_modes[..., 6:, :], table), table)
-    return b_self, b_lin
+    return _path_tiled(uc, yc, False, table, grid, workers)[0]
 
 
 def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
                        workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(B(u,u), B(y,u)+B(u,y)) sharing transforms; the tangent-flow hot path."""
-    return _path_tiled(_self_and_linpair_tile, (uc, yc), 12, table, grid, workers)
+    return _path_tiled(uc, yc, True, table, grid, workers)
 
 
 def b_pseudospectral(u: SpectralField, v: SpectralField,

@@ -104,21 +104,30 @@ class ModeTable:
         self.lam = FOUR_PI_SQ * self.k_sq                      # Stokes eigenvalues
         self.pol = _polarization_basis(self.kvec.astype(np.float64))
         self._pad_cache: dict[int, PadLayout] = {}
-        # index of each stored k in the iteration order, for lookups
-        self._index = {tuple(k): i for i, k in enumerate(map(tuple, self.kvec))}
+        # row of each stored k at [k1+N, k2+N, k3+N] of the box, -1 elsewhere
+        self._row = np.full(allk.shape[0], -1, dtype=np.int64)
+        self._row[keep] = np.arange(self.n_modes)
+        self._row = self._row.reshape((2 * n + 1,) * 3)
+
+    def rows(self, kvec: np.ndarray) -> np.ndarray:
+        """Rows of the (..., 3) wavevectors kvec; -1 where k is not stored."""
+        kvec = np.asarray(kvec, dtype=np.int64)
+        inside = (np.abs(kvec) <= self.n).all(axis=-1)
+        # out-of-box k would wrap as negative indices, so look them up at 0
+        at = np.where(inside[..., None], kvec + self.n, 0)
+        return np.where(inside, self._row[at[..., 0], at[..., 1], at[..., 2]], -1)
 
     def index_of(self, k) -> int:
         """Index of wavevector k (or its stored representative)."""
-        k = tuple(int(x) for x in k)
-        if k in self._index:
-            return self._index[k]
-        mk = tuple(-x for x in k)
-        if mk in self._index:
-            return self._index[mk]
-        raise KeyError(f"wavevector {k} outside truncation N={self.n}")
+        i = int(self.rows(k))
+        if i < 0:
+            i = int(self.rows(np.negative(k)))
+        if i < 0:
+            raise KeyError(f"wavevector {tuple(int(x) for x in k)} outside truncation N={self.n}")
+        return i
 
     def is_stored(self, k) -> bool:
-        return tuple(int(x) for x in k) in self._index
+        return bool(self.rows(k) >= 0)
 
     # -- padded half-spectrum layout for rfft-based transforms ------------
 
@@ -202,21 +211,13 @@ class SpectralField:
 
     def get(self, k) -> np.ndarray:
         """Coefficient at wavevector k (conjugated if k is the implicit member)."""
-        tab = self.table
-        kt = tuple(int(x) for x in k)
-        if kt in tab._index:
-            return self.coeffs[tab._index[kt]].copy()
-        i = tab.index_of(kt)
-        return np.conj(self.coeffs[i])
+        c = self.coeffs[self.table.index_of(k)]
+        return c.copy() if self.table.is_stored(k) else np.conj(c)
 
     def set(self, k, value) -> None:
-        tab = self.table
-        kt = tuple(int(x) for x in k)
         value = np.asarray(value, dtype=np.complex128)
-        if kt in tab._index:
-            self.coeffs[tab._index[kt]] = value
-        else:
-            self.coeffs[tab.index_of(kt)] = np.conj(value)
+        i = self.table.index_of(k)
+        self.coeffs[i] = value if self.table.is_stored(k) else np.conj(value)
 
     def __add__(self, other):
         _check_same(self, other)
@@ -333,8 +334,7 @@ def restrict_field(u: SpectralField, n_small: int) -> SpectralField:
     if n_small > u.n:
         raise ValueError("restriction target exceeds the source resolution")
     big, small = u.table, mode_table(n_small)
-    rows = np.array([big._index[tuple(k)] for k in map(tuple, small.kvec)])
-    return SpectralField(n_small, u.coeffs[rows].copy())
+    return SpectralField(n_small, u.coeffs[big.rows(small.kvec)])
 
 
 # -- physical-space transforms ------------------------------------------------

@@ -21,8 +21,8 @@ import numpy as np
 from scipy import stats as sstats
 
 from . import dynamics as dyn
-from .dynamics import EnsembleRecord, SimConfig
-from .noise import CovarianceSpec, ou_variance, q_form_sq
+from .dynamics import EnsembleRecord, SimConfig, scheme_step_variance
+from .noise import CovarianceSpec, q_form_sq
 from .nonlinearity import dealias_grid
 from .spectral import (
     SpectralField,
@@ -81,13 +81,6 @@ def _mean_se(x: np.ndarray):
     m = float(x.mean())
     se = float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
     return m, se
-
-
-def scheme_step_variance(cfg: SimConfig, cov: CovarianceSpec) -> np.ndarray:
-    """Exact per-mode noise variance of one step of the configured scheme."""
-    if cfg.scheme == "em":
-        return cov.sigma**2 * cfg.dt
-    return ou_variance(cov, cfg.dt, cfg.nu)
 
 
 def mphi_step_variance(cfg: SimConfig, cov: CovarianceSpec, phi: TestFunction) -> float:

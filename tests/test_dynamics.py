@@ -352,6 +352,19 @@ class TestEnsembleMachinery:
         assert rec.blown.all()
         assert (rec.blow_step > 0).all()
 
+    def test_one_path_record_is_a_row_of_the_ensemble(self):
+        cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme="em", mode="full",
+                            alpha0=0.75, q0=10.0, seed=43, n_max=3)
+        rec = dyn.run_ensemble(cfg, np.arange(5), keep_series=True)
+        one = rec.path(3)
+        R = float(np.median(rec.w2))
+        for n in (1, 2, 3):
+            assert one.energy_series(n).tobytes() == rec.energy_series(n)[3].tobytes()
+        assert one.tau_r(R) == rec.tau_r(R)[3]
+        single = dyn.simulate_path(cfg, path_id=3, keep_series=True)
+        assert single.series.tobytes() == one.series.tobytes()
+        assert single.h2.tobytes() == rec.h2[3].tobytes()
+
     def test_export_csv_row_count(self, tmp_path):
         cfg = cfg_small(q0=5.0, snapshot_stride=2)
         rec = dyn.simulate_path(cfg)
@@ -373,15 +386,24 @@ def test_simulate_path_raises_typed_blowup():
     assert exc.value.partial_record.blown
 
 
-def test_public_step_matches_engine():
-    cfg = dyn.SimConfig(n=3, dt=1e-4, t_end=1e-4, scheme="expo-em", mode="full",
-                        alpha0=0.75, q0=10.0, seed=60)
+@pytest.mark.parametrize("mode", ["full", "cutoff", "stokes", "deterministic"])
+@pytest.mark.parametrize("scheme", ["em", "expo-em"])
+def test_public_step_matches_engine(scheme, mode):
     x0 = sp.random_divfree_field(3, sp.powerlaw_profile(3.0, 0.2), seed=61)
+    w2 = float(sp.sobolev_norm_sq(x0.coeffs, x0.table.lam, sp.theta(0.75)))
+    r = max(w2 - 1.5, 1.0) if mode == "cutoff" else None
+    cfg = dyn.SimConfig(n=3, dt=1e-4, t_end=1e-4, scheme=scheme, mode=mode, r=r,
+                        alpha0=0.75, q0=10.0, seed=60)
+    if mode == "cutoff":
+        assert dyn.chi_r(w2, r) < 1.0
     cov = cfg.covariance()
-    g = sp.SpectralField(3, ns.ou_block(cov, cfg.dt, cfg.seed, [0], 0)[0])
-    u1 = dyn.step(x0, cfg, g)
+    if scheme == "em":
+        g = ns.wiener_block(cov, cfg.dt, cfg.seed, [0], 0)
+    else:
+        g = ns.ou_block(cov, cfg.dt, cfg.seed, [0], 0, cfg.nu)
+    u1 = dyn.step(x0, cfg, sp.SpectralField(3, g[0]))
     rec = dyn.run_ensemble(cfg, [0], x0=x0.coeffs, keep_final=True)
-    assert np.array_equal(u1.coeffs, rec.final[0])
+    assert u1.coeffs.tobytes() == rec.final[0].tobytes()
 
 
 def test_step_zero_state_zero_noise():
@@ -389,3 +411,37 @@ def test_step_zero_state_zero_noise():
                         alpha0=0.75, q0=1.0, seed=62)
     out = dyn.step(sp.SpectralField.zero(2), cfg, None)
     assert np.abs(out.coeffs).max() == 0.0
+
+
+@pytest.mark.parametrize("mode", ["full", "cutoff"])
+@pytest.mark.parametrize("scheme", ["em", "expo-em"])
+def test_tangent_ensemble_state_is_engine_state(scheme, mode):
+    # the state half of the tangent ensemble is the engine's path, bit for bit
+    n, w2x = 3, 12.0
+    x = sp.random_divfree_field(n, sp.powerlaw_profile(2.0), seed=77)
+    x = x * np.sqrt(w2x / float(sp.sobolev_norm_sq(x.coeffs, x.table.lam, sp.theta(0.25))))
+    r = w2x - 1.5 if mode == "cutoff" else None   # x starts mid-band, so chi' fires
+    cfg = dyn.SimConfig(n=n, dt=2e-4, t_end=2e-3, scheme=scheme, mode=mode, r=r,
+                        alpha0=0.25, q0=5.0, seed=77)
+    if mode == "cutoff":
+        assert dyn.chi_r_prime(w2x, r) != 0.0
+    h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0), seed=78)
+    ids = np.arange(20)
+    out = dyn.run_tangent_ensemble(cfg, x.coeffs, h.coeffs, ids)
+    rec = dyn.run_ensemble(cfg, ids, x0=x.coeffs)
+    assert out["final"].tobytes() == rec.final.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["em", "expo-em"])
+def test_paired_run_is_two_engine_runs(scheme):
+    # the weak-strong pair steps both members exactly as run_ensemble does
+    cfg = dyn.SimConfig(n=4, dt=5e-4, t_end=0.01, scheme=scheme, mode="full",
+                        alpha0=0.75, q0=60.0, seed=79)
+    ids, R = np.arange(12), 20.0
+    res = dyn.paired_full_cutoff(cfg, ids, R=R)
+    assert res["crossings"] > 0
+    full = dyn.run_ensemble(cfg, ids)
+    cut = dyn.run_ensemble(dyn.SimConfig(**{**cfg.__dict__, "mode": "cutoff", "r": R}), ids)
+    assert res["w2_full"].tobytes() == full.w2.tobytes()
+    assert res["w2_cutoff"].tobytes() == cut.w2.tobytes()
+    assert (dyn.chi_r(cut.w2, R) < 1.0).any()

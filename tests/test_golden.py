@@ -11,10 +11,12 @@ import hashlib
 
 import numpy as np
 
+from navsto import cli
 from navsto import dynamics as dyn
 from navsto import noise as ns
 from navsto import nonlinearity as nl
 from navsto import spectral as sp
+from navsto import verifier as vf
 
 
 def digest(*arrays) -> str:
@@ -74,3 +76,130 @@ def test_ou_block_n6():
     g = ns.ou_block(cov, 1e-3, seed=4109, path_ids=np.arange(40), step=3)
     assert digest(g) == (
         "f5d89aac640dcfce10e4eca17d08252240175a511ff79cf30ca8452bbf2e3081")
+
+
+# -- the scheme step on every production path ----------------------------------------
+#
+# One digest per public stepper, recorded before the steppers shared one scheme
+# object, so that sharing it cannot move a bit.  The cut-off cases sit where
+# chi < 1 (and chi' != 0 for the derivative flow), so the cut-off factor is
+# exercised, not just multiplied by 1.
+
+def scaled_field(n, seed, alpha0, w2, s=2.0):
+    """Seeded field rescaled to |u|_W^2 = w2."""
+    u = sp.random_divfree_field(n, sp.powerlaw_profile(s), seed)
+    now = float(sp.sobolev_norm_sq(u.coeffs, u.table.lam, sp.theta(alpha0)))
+    return u * np.sqrt(w2 / now)
+
+
+def phis_n4(cfg):
+    cov = cfg.covariance()
+    out = []
+    for name, k in (("zeta", (1, 0, 0)), ("alpha", (0, 1, 1))):
+        f = sp.SpectralField.zero(4)
+        i = f.table.index_of(k)
+        f.coeffs[i] = f.table.pol[i, 0] + 0.5 * f.table.pol[i, 1]
+        out.append(vf.TestFunction.build(f, cov, name))
+    return out
+
+
+def em_cutoff_n4(**kw):
+    # |x|_W^2 = 40.5 starts mid-band in [R+1, R+2] at R = 39
+    base = dict(n=4, dt=2e-4, t_end=2e-3, scheme="em", mode="cutoff", r=39.0,
+                alpha0=0.25, q0=5.0, seed=4110)
+    base.update(kw)
+    return dyn.SimConfig(**base)
+
+
+def test_run_ensemble_em_cutoff_phis():
+    cfg = em_cutoff_n4()
+    x = scaled_field(4, 4111, 0.25, 40.5)
+    rec = dyn.run_ensemble(cfg, np.arange(48), x0=x.coeffs, phis=phis_n4(cfg))
+    assert (dyn.chi_r(rec.w2[:, :-1], cfg.r) < 1.0).any()
+    assert digest(rec.final, rec.h2, rec.v2, rec.w2, rec.int_v2, rec.int_h2nm2_v2[2],
+                  rec.int_h2nm2[2], rec.mphi, rec.proj_phi) == (
+        "ec4c0e64fc135eb6bc603ac70c6d57044767343acb77948a46eaeaa64fd6e41c")
+
+
+def test_step_em_cutoff():
+    cfg = em_cutoff_n4(t_end=2e-4)
+    x = scaled_field(4, 4112, 0.25, 40.5)
+    assert dyn.chi_r(40.5, cfg.r) < 1.0
+    g = sp.SpectralField(4, ns.wiener_block(cfg.covariance(), cfg.dt, cfg.seed, [3], 0)[0])
+    assert digest(dyn.step(x, cfg, g).coeffs, dyn.step(x, cfg, None).coeffs) == (
+        "16d80e695a3785755e54b787d0669e5282f56b9a81ceb77fde6b6db79b657b10")
+
+
+def test_solve_auxiliary_v_both_schemes():
+    out = []
+    for scheme in ("em", "expo-em"):
+        cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme=scheme, q0=10.0, seed=4113)
+        z = dyn.solve_stokes_z(cfg, path_id=2)
+        v = dyn.solve_auxiliary_v(sp.SpectralField(3, field(3, 4114, 3.0, 0.3)), z.series, cfg)
+        out += [v.series, v.h2, v.v2, v.w2, v.int_v2]
+    assert digest(*out) == (
+        "d2cb076e5ab6295f0254536ee4f085071aeef42a6735cb742e9d0eba10b4e399")
+
+
+def test_linearized_flow_em_cutoff_chi_prime_active():
+    # the regime of the derivative-flow band test: W^2 = 2.5 in (R+1, R+2)
+    n = 3
+    cfg = dyn.SimConfig(n=n, dt=5e-5, t_end=1e-3, scheme="em", mode="cutoff",
+                        r=1.0, alpha0=0.25, q0=1.0, seed=4115)
+    u = dyn.simulate_path(cfg, x0=scaled_field(n, 4116, 0.25, 2.5), keep_series=True)
+    w2 = sp.sobolev_norm_sq(u.series, sp.mode_table(n).lam, sp.theta(0.25))
+    assert (dyn.chi_r_prime(w2, cfg.r) != 0.0).any()
+    du = dyn.linearized_flow(u.series, sp.random_divfree_field(n, sp.powerlaw_profile(3.0), 4117),
+                             cfg)
+    assert digest(du) == (
+        "d404ae0d09e7b32a854dab7e2af2e6042b47ffacbadc145998a6f753cde5847e")
+
+
+def test_paired_full_cutoff_em():
+    cfg = dyn.SimConfig(n=4, dt=5e-4, t_end=0.02, scheme="em", alpha0=0.75, q0=60.0,
+                        seed=4118)
+    res = dyn.paired_full_cutoff(cfg, np.arange(24), R=20.0)
+    assert res["crossings"] > 0
+    assert digest(res["w2_full"], res["w2_cutoff"], res["tau_full"], res["tau_cutoff"],
+                  res["mismatch_steps"]) == (
+        "985e01fb88dcf5086eff5fe124b53378819e8c10270fa0d75a5ca08bccc1ec61")
+
+
+def test_build_control_and_replay_n4():
+    cfg = dyn.SimConfig(n=4, dt=2e-4, t_end=0.02, scheme="em", mode="cutoff", r=60.0,
+                        alpha0=0.75, q0=1.0, seed=4119)
+    x = sp.random_divfree_field(4, sp.powerlaw_profile(4.0, 0.02), seed=4120)
+    y = sp.random_divfree_field(4, sp.powerlaw_profile(4.0, 0.01), seed=4121)
+    w_inc, designed, info = dyn.build_control(x, y, cfg.t_end, 60.0, cfg)
+    rec = dyn.solve_controlled(x, w_inc, 60.0, cfg)
+    assert digest(w_inc, designed, np.array([info["t_star"], info["sup_w2"]]),
+                  rec.series, rec.h2, rec.v2, rec.w2, rec.int_v2) == (
+        "ffc6bc5f07634d58337dcfa172413cd57db2a2c108ff45a5853b357c35121491")
+
+
+def test_simulate_path_csv_with_phis(tmp_path):
+    # names out of sorted order: the CSV sorts its M^phi columns by name
+    cfg = em_cutoff_n4(mode="full", r=None, q0=10.0)
+    rec = dyn.simulate_path(cfg, path_id=1, phis=phis_n4(cfg))
+    dyn.export_path_csv(rec, tmp_path / "p.csv")
+    text = (tmp_path / "p.csv").read_text()
+    assert text.splitlines()[0].endswith("M_alpha,M_zeta")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "56d130dc70dfd5388859f00607e71edcc680ff8a7adf69b98312c3cf7ba3c0c7")
+
+
+def test_cli_simulate_artifacts(tmp_path):
+    cfgp = tmp_path / "run.cfg"
+    cfgp.write_text("resolution = 3\ndt = 2e-4\nhorizon = 0.002\nscheme = em\nmode = full\n"
+                    "alpha0 = 0.75\nq0 = 10.0\nseed = 4122\nsnapshot_stride = 4\n")
+    assert cli.main(["simulate", "--config", str(cfgp), "--seeds", "0..1",
+                     "--out", str(tmp_path / "out")]) == 0
+    run_dir = next((tmp_path / "out").glob("simulate-*"))
+    files = sorted(f for f in run_dir.iterdir() if f.name != "manifest.json")
+    assert len([f for f in files if f.suffix == ".bin"]) == 6
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
+    assert h.hexdigest() == (
+        "aa2bf5b12e0e1987e298f1728bd7cb07473ac313d1a009453084a49563f565ca")

@@ -169,6 +169,9 @@ class TestPathTiling:
                 for g, e in zip(got, expect):
                     assert g.dtype == dtype
                     assert g.tobytes() == e.tobytes()   # sees -0 vs +0, NaN payloads
+                # the single-set entry points are the two halves of the joint one
+                assert got[0].tobytes() == got[2].tobytes()
+                assert got[1].tobytes() == got[3].tobytes()
         finally:
             nl.set_fft_workers(saved)
             sys.setswitchinterval(switch)

@@ -251,3 +251,28 @@ class TestModeTable:
         assert np.array_equal(np.sort(filled), np.flatnonzero(nonzero))
         with pytest.raises(sp.AliasError):
             tab.pad_layout(2 * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_lookup_of_every_k_in_and_around_the_box(self, n):
+        tab = sp.mode_table(n)
+        for i, k in enumerate(tab.kvec):
+            assert tab.index_of(k) == i and tab.index_of(-k) == i
+            assert tab.is_stored(k) and not tab.is_stored(-k)
+        # the zero mode and wavevectors just outside the box, which a wrapping
+        # negative index would otherwise map onto stored rows
+        f = sp.SpectralField.zero(n)
+        for k in [(0, 0, 0), (n + 1, 0, 0), (-n - 1, 0, 0), (0, n + 1, -n - 1),
+                  (1, -2 * n - 1, 0), (0, 0, 3 * n)]:
+            assert not tab.is_stored(k)
+            with pytest.raises(KeyError):
+                tab.index_of(k)
+            with pytest.raises(KeyError):
+                f.get(k)
+            with pytest.raises(KeyError):
+                f.set(k, [0, 1, 0])
+
+    def test_restrict_field_matches_per_mode_lookup(self):
+        u = random_field(6, 35)
+        r = sp.restrict_field(u, 3)
+        rows = [u.table.index_of(k) for k in r.table.kvec]
+        assert r.coeffs.tobytes() == u.coeffs[rows].tobytes()
