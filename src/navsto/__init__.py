@@ -16,4 +16,4 @@ from .spectral import (  # noqa: F401
 )
 from .nonlinearity import b_direct, b_pseudospectral, breg_ratio  # noqa: F401
 from .noise import build_covariance, sample_wiener_increment  # noqa: F401
-from .dynamics import SimConfig, chi_r, simulate_path, stopping_time_tau_r  # noqa: F401
+from .dynamics import SimConfig, chi_r, simulate_path  # noqa: F401

@@ -32,10 +32,6 @@ from .spectral import (
     write_snapshot,
 )
 
-SUBCOMMANDS = ("simulate", "verify-mp2", "verify-energy", "verify-doob",
-               "verify-weak-strong", "bel-probe", "sweep-inequalities",
-               "control-steer", "select-demo", "report")
-
 # every recognised config key with parser and default (None: required by users)
 _KEYS = {
     # dynamics
@@ -53,7 +49,6 @@ _KEYS = {
     "n_max": (int, 2),
     "pad_factor": (float, 1.5),
     # ensembles / verification
-    "paths": (int, 1000),
     "checkpoints": (str, ""),
     "phi_modes": (str, "1 0 0; 0 1 1"),
     "control_amplitude": (float, 1.5),
@@ -71,7 +66,6 @@ _KEYS = {
     "fd_eps": (float, 1e-2),
     "psi_kind": (str, "proj"),
     "psi_clip": (float, 0.0),
-    "precision": (str, "double"),
     "x_seed": (int, 11),
     "x_amplitude": (float, 0.02),
     "x_exponent": (float, 4.0),
@@ -414,20 +408,12 @@ def cmd_select_demo(args, cfg, seeds, out):
                delimiter=",", header="t,x", comments="", fmt="%.17g")
     S = sel.make_selection_map(horizon, dt, s_grid, criteria)
     t_grid = [0.0] + [round(round(horizon / f / dt) * dt, 12) for f in (8, 4)]
-    states = [0.0, 0.5, -0.5]
+    rows = list(sel.semiflow_defects(S, [0.0, 0.5, -0.5], t_grid, dt))
     with open(out / "semiflow.csv", "w") as fh:
         fh.write("x,t,r,defect\n")
-        for xs in states:
-            traj = S(float(xs))
-            for t in t_grid:
-                i = int(round(t / dt))
-                tail = S(float(traj[i]))
-                for r in t_grid:
-                    j = int(round(r / dt))
-                    if i + j >= traj.size:
-                        continue
-                    fh.write(f"{xs},{t},{r},{abs(traj[i + j] - tail[j]):.17g}\n")
-    defect = sel.check_semiflow(S, states, t_grid, dt)
+        for xs, t, r, d in rows:
+            fh.write(f"{xs},{t},{r},{d:.17g}\n")
+    defect = max([0.0] + [d for *_, d in rows])
     bound = 10.0 * dt * dt
     _write_json(out / "report.json",
                 dict(selected=best.label(), semiflow_defect=defect, bound=bound))
@@ -468,6 +454,21 @@ def cmd_report(args, cfg, seeds, out):
     return rc
 
 
+_HANDLERS = {
+    "simulate": cmd_simulate,
+    "verify-mp2": cmd_verify_mp2,
+    "verify-energy": cmd_verify_energy,
+    "verify-doob": cmd_verify_doob,
+    "verify-weak-strong": cmd_verify_weak_strong,
+    "bel-probe": cmd_bel_probe,
+    "sweep-inequalities": cmd_sweep,
+    "control-steer": cmd_control_steer,
+    "select-demo": cmd_select_demo,
+    "report": cmd_report,
+}
+SUBCOMMANDS = tuple(_HANDLERS)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="navsto", description=__doc__)
     ap.add_argument("subcommand", choices=SUBCOMMANDS)
@@ -491,20 +492,7 @@ def main(argv=None) -> int:
         cfg["scheme"] = args.scheme
     seeds = _seed_range(args.seeds)
     out = _out_dir(args, args.subcommand, cfg, seeds)
-
-    handlers = {
-        "simulate": cmd_simulate,
-        "verify-mp2": cmd_verify_mp2,
-        "verify-energy": cmd_verify_energy,
-        "verify-doob": cmd_verify_doob,
-        "verify-weak-strong": cmd_verify_weak_strong,
-        "bel-probe": cmd_bel_probe,
-        "sweep-inequalities": cmd_sweep,
-        "control-steer": cmd_control_steer,
-        "select-demo": cmd_select_demo,
-        "report": cmd_report,
-    }
-    return handlers[args.subcommand](args, cfg, np.array(seeds), out)
+    return _HANDLERS[args.subcommand](args, cfg, np.array(seeds), out)
 
 
 if __name__ == "__main__":

@@ -122,13 +122,13 @@ def scheme_step_variance(cfg: SimConfig, cov: CovarianceSpec) -> np.ndarray:
 
 
 def _noise_block(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int,
-                 provider: str = "native", fine_dt: float | None = None):
+                 provider: str = "native"):
     """One step of scheme noise for a batch of paths.
 
     provider "native": increments match the scheme at cfg.dt.
-    provider "coupled-coarse": compose the two fine half-steps at fine_dt =
-    cfg.dt/2 so a coarse path is pathwise coupled to its fine twin (used by
-    the Richardson bias pilot).
+    provider "coupled-coarse": compose the two fine half-steps at cfg.dt/2 so
+    a coarse path is pathwise coupled to its fine twin (used by the
+    Richardson bias pilot).
     """
     if cfg.mode == "deterministic" or cfg.noise_amplitude == 0.0:
         P = len(np.atleast_1d(path_ids))
@@ -139,8 +139,7 @@ def _noise_block(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int,
             return noise_mod.wiener_block(cov, cfg.dt, cfg.seed, path_ids, step, amp)
         return noise_mod.ou_block(cov, cfg.dt, cfg.seed, path_ids, step, cfg.nu, amp)
     if provider == "coupled-coarse":
-        if fine_dt is None:
-            fine_dt = cfg.dt / 2.0
+        fine_dt = cfg.dt / 2.0
         if cfg.scheme == "em":
             g1 = noise_mod.wiener_block(cov, fine_dt, cfg.seed, path_ids, 2 * step, amp)
             g2 = noise_mod.wiener_block(cov, fine_dt, cfg.seed, path_ids, 2 * step + 1, amp)
@@ -239,12 +238,6 @@ def stopping_time_tau_r_series(w2: np.ndarray, times: np.ndarray, R: float) -> n
     return out
 
 
-def stopping_time_tau_r(record, R: float) -> float:
-    """Right-continuous grid detection of the exit time for a single record."""
-    w2 = np.atleast_2d(record.w2)
-    return float(stopping_time_tau_r_series(w2, record.times, R)[0])
-
-
 # -- the scheme ----------------------------------------------------------------
 
 def _norm_sq(coeffs: np.ndarray, *weights):
@@ -334,19 +327,19 @@ class Scheme:
 
 # -- the batched stepper -------------------------------------------------------
 
-def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(), chunk: int = CHUNK,
+def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
                  noise_provider: str = "native", keep_final: bool = True,
                  keep_series: bool = False, workers: int = 1) -> EnsembleRecord:
     """Integrate an ensemble of paths, tracking the martingale-problem functionals.
 
     phis: sequence of TestFunction-like objects exposing .coeffs, .a_coeffs
-    and optionally .name.  Results are independent of `chunk`-internal
+    and optionally .name.  Results are independent of the CHUNK-sized
     batching because every path's arithmetic touches only its own slice;
     CHUNK is fixed for reproducibility.
     """
     path_ids = np.asarray(path_ids, dtype=np.int64)
-    parts = [slice(i, min(i + chunk, path_ids.size))
-             for i in range(0, path_ids.size, chunk)]
+    parts = [slice(i, min(i + CHUNK, path_ids.size))
+             for i in range(0, path_ids.size, CHUNK)]
     args = [(cfg, path_ids[s], _x0_block(x0, s, path_ids.size), phis,
              noise_provider, keep_final, keep_series) for s in parts]
     results = _map_tasks(_run_chunk, args, workers)
@@ -498,8 +491,7 @@ def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -
 # -- single-path front door ----------------------------------------------------
 
 def simulate_path(cfg: SimConfig, path_id: int = 0, x0: SpectralField | None = None,
-                  phis=(), keep_series: bool | None = None,
-                  raise_on_blowup: bool = True) -> EnsembleRecord:
+                  phis=(), keep_series: bool | None = None) -> EnsembleRecord:
     """Integrate one path.
 
     A nonfinite state aborts with BlowupError carrying the step index and
@@ -508,19 +500,11 @@ def simulate_path(cfg: SimConfig, path_id: int = 0, x0: SpectralField | None = N
     keep = bool(cfg.snapshot_stride) if keep_series is None else keep_series
     x = None if x0 is None else x0.coeffs
     record = run_ensemble(cfg, [path_id], x0=x, phis=phis, keep_series=keep).path(0)
-    if record.blown and raise_on_blowup:
+    if record.blown:
         err = BlowupError(record.blow_step, path_id)
         err.partial_record = record
         raise err
     return record
-
-
-def solve_stokes_z(cfg: SimConfig, path_id: int = 0,
-                   keep_series: bool = True) -> EnsembleRecord:
-    """Linear (advection-off) path driven by the same noise stream as the
-    full dynamics for the same (seed, path)."""
-    zcfg = replace(cfg, mode="stokes")
-    return run_ensemble(zcfg, [path_id], keep_series=keep_series).path(0)
 
 
 def _one_path(cfg: SimConfig, sch: Scheme, x: np.ndarray, advance) -> EnsembleRecord:
@@ -563,24 +547,6 @@ def solve_auxiliary_v(u0: SpectralField, z_series: np.ndarray, cfg: SimConfig) -
         return sch.advance(v, b_self_batch(v + z_series[None, s], sch.tab, sch.grid))
 
     return _one_path(cfg, sch, u0.coeffs, advance)
-
-
-def linearized_flow(u_series: np.ndarray, h: SpectralField, cfg: SimConfig) -> np.ndarray:
-    """Derivative flow along a stored trajectory: exact Jacobian of the scheme.
-
-    Solves the linearization of the cutoff dynamics with Du(0) = h, using the
-    same scheme and grid that produced u_series.  Returns (S+1, K, 3).
-    """
-    S = cfg.n_steps
-    if u_series.shape[0] != S + 1:
-        raise ValueError("u series grid does not match the configured horizon")
-    sch = Scheme(cfg, np.complex128)
-    out = np.empty((S + 1,) + h.coeffs.shape, dtype=np.complex128)
-    out[0] = h.coeffs
-    for s in range(S):
-        _, lin = sch.tangent(u_series[None, s], out[None, s])
-        out[s + 1] = sch.advance(out[None, s], lin)[0]
-    return out
 
 
 # -- weak-strong paired runs ---------------------------------------------------
@@ -676,7 +642,7 @@ def solve_controlled(x: SpectralField, w_increments: np.ndarray, R: float,
 
 
 def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
-                  cfg: SimConfig, max_retries: int = 6):
+                  cfg: SimConfig):
     """Steer x to y through the cutoff dynamics: drift freely, then interpolate.
 
     Leg one runs the uncontrolled equation until a time T* with the W-ball
@@ -696,7 +662,7 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
 
     # leg one: uncontrolled, shrink the budget until the W-ball holds
     budget = S // 2
-    for _ in range(max_retries):
+    for _ in range(6):  # at most six halvings of the budget
         u = x.coeffs[None, :, :].astype(np.complex128)
         leg = np.empty((budget + 1, n_modes, 3), dtype=np.complex128)
         leg[0] = u[0]
@@ -738,7 +704,6 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
 # -- derivative-flow ensemble for gradient probes --------------------------------
 
 def run_tangent_ensemble(cfg: SimConfig, x: np.ndarray, h: np.ndarray, path_ids,
-                         chunk: int = CHUNK, workers: int = 1,
                          precision: str = "double") -> dict:
     """Co-integrate u (cutoff dynamics) and its tangent Du with Du(0) = h,
     accumulating the gradient-representation integrand
@@ -754,17 +719,22 @@ def run_tangent_ensemble(cfg: SimConfig, x: np.ndarray, h: np.ndarray, path_ids,
     if cfg.mode not in ("cutoff", "full", "stokes"):
         raise ValueError("gradient probe runs on the (cutoff) dynamics")
     path_ids = np.asarray(path_ids, dtype=np.int64)
-    tasks = [(cfg, x, h, path_ids[lo:lo + chunk], precision)
-             for lo in range(0, path_ids.size, chunk)]
-    results = _map_tasks(_tangent_chunk, tasks, workers)
-    return dict(final=np.concatenate([r[0] for r in results]),
-                bel_sum=np.concatenate([r[1] for r in results]), n_steps=cfg.n_steps)
+    # keep (u, acc) of each chunk; its final tangents y are freed at once
+    parts = [_tangent_chunk(cfg, x, h, path_ids[lo:lo + CHUNK], precision)[::2]
+             for lo in range(0, path_ids.size, CHUNK)]
+    return dict(final=np.concatenate([u for u, _ in parts]),
+                bel_sum=np.concatenate([acc for _, acc in parts]), n_steps=cfg.n_steps)
 
 
 def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray,
                    precision: str = "double"):
-    """Single precision trades ~1e-7 relative state error (far below any
-    Monte-Carlo standard error) for about 1.6x throughput."""
+    """Final states u, final tangents y = Du h and BEL sums of the paths `ids`.
+
+    u follows the engine's path bit for bit and y the exact Jacobian of its
+    steps, with chi' in cutoff mode.  Single precision trades ~1e-7 relative
+    state error (far below any Monte-Carlo standard error) for about 1.6x
+    throughput.
+    """
     cdtype = np.complex64 if precision == "single" else np.complex128
     sch = Scheme(cfg, cdtype)
     inv_var = (1.0 / scheme_step_variance(cfg, sch.cov)).astype(sch.lam.dtype)
@@ -778,7 +748,7 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
         u = sch.advance(u, b, None, g)
         y = sch.advance(y, lin)
         acc += 2.0 * np.real(np.einsum("pkj,pkj,k->p", y, np.conj(g), inv_var)).astype(np.float64)
-    return u, acc
+    return u, y, acc
 
 
 def export_path_csv(rec: EnsembleRecord, path, stride: int = 1) -> None:

@@ -108,7 +108,7 @@ def _mode_gaussians(cov: CovarianceSpec, scale: np.ndarray, seed: int,
             path_generator(seed, int(path_ids[i]), step, kind).standard_normal(out=g[i])
         g[lo:lo + tile] *= s
 
-    map_tiles(fill, P, tile, None)
+    map_tiles(fill, P, tile)
     return g.view(np.complex128)[..., 0]
 
 
@@ -132,7 +132,7 @@ def _assemble(cov: CovarianceSpec, c: np.ndarray) -> np.ndarray:
             o += ct[:, :, 1] * p1[:, j]
             o += 0.0
 
-    map_tiles(run, c.shape[0], tile, None)
+    map_tiles(run, c.shape[0], tile)
     return out
 
 
@@ -177,15 +177,6 @@ def ou_block(cov: CovarianceSpec, dt: float, seed: int, path_ids, step: int,
         raise ValueError("dt must be positive")
     scale = amplitude * np.sqrt(ou_variance(cov, dt, nu))
     return _assemble(cov, _mode_gaussians(cov, scale, seed, path_ids, step, KIND_OU))
-
-
-def sample_ou_increment(cov: CovarianceSpec, dt: float, seed: int,
-                        path_id: int = 0, step: int = 0,
-                        nu: float = 1.0) -> tuple[np.ndarray, SpectralField]:
-    """Decay factors and the Gaussian part of one exact OU update."""
-    decay = ou_decay(cov, dt, nu)
-    g = ou_block(cov, dt, seed, [path_id], step, nu)[0]
-    return decay, SpectralField(cov.n, g)
 
 
 def q_power_apply(cov: CovarianceSpec, field: SpectralField, sign: float) -> SpectralField:

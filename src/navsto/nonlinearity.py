@@ -187,21 +187,18 @@ def _gather_half_scalar(z: np.ndarray, table: ModeTable, grid: int) -> np.ndarra
     return out
 
 
-def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int,
-            workers: int | None = None) -> np.ndarray:
+def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
     """Dealiased (u . grad) v with Leray projection for (..., K, 3) batches."""
-    if workers is None:
-        workers = FFT_WORKERS
     lay = table.pad_layout(grid)
     # physical fields carry a 1/grid^3 factor that is repaid at the gather
-    u_phys = _irfft_block(_scatter_half(uc, table, grid), grid, workers)
+    u_phys = _irfft_block(_scatter_half(uc, table, grid), grid, FFT_WORKERS)
     v_hat = _scatter_half(vc, table, grid)
     w = None
     for a, ka in enumerate((lay.kx, lay.ky, lay.kz)):
-        dva = _irfft_block(v_hat * (TWO_PI * 1j * ka), grid, workers)
+        dva = _irfft_block(v_hat * (TWO_PI * 1j * ka), grid, FFT_WORKERS)
         term = u_phys[..., a:a + 1, :, :, :] * dva
         w = term if w is None else w + term
-    out = _gather_half(_rfft_block(w, table.n, workers), table, grid) * grid**3
+    out = _gather_half(_rfft_block(w, table.n, FFT_WORKERS), table, grid) * grid**3
     return leray_project(out, table)
 
 
@@ -243,15 +240,14 @@ def _tile_pool(threads: int) -> ThreadPoolExecutor:
     return _tile_pool_by_pid[2]
 
 
-def map_tiles(run, total: int, tile: int, workers: int | None) -> None:
-    """Call run(lo) for lo = 0, tile, 2 tile, ... < total on `workers` threads.
+def map_tiles(run, total: int, tile: int) -> None:
+    """Call run(lo) for lo = 0, tile, 2 tile, ... < total on FFT_WORKERS threads.
 
     Each call must write only its own slice of the outputs; the calls run in
     order when one thread is asked for.
     """
-    if workers is None:
-        workers = FFT_WORKERS
     starts = range(0, total, tile)
+    workers = FFT_WORKERS
     threads = workers if workers > 0 else (os.cpu_count() or 1) + 1 + workers
     if threads > 1 and len(starts) > 1:
         list(_tile_pool(threads).map(run, starts))
@@ -261,22 +257,20 @@ def map_tiles(run, total: int, tile: int, workers: int | None) -> None:
 
 
 def _path_tiled(uc: np.ndarray, yc: np.ndarray | None, with_self: bool, table: ModeTable,
-                grid: int, workers: int | None) -> tuple:
+                grid: int) -> tuple:
     """Run _divergence_tile over tiles of the path axis.
 
-    Batch-1 calls and batches of at most one tile run untiled with `workers`
-    FFT threads; larger (P, K, 3) batches run their tiles on `workers`
-    threads, each tile with single-threaded FFTs writing its own slice of the
-    outputs.
+    Batch-1 calls and batches of at most one tile run untiled with
+    FFT_WORKERS FFT threads; larger (P, K, 3) batches run their tiles on
+    FFT_WORKERS threads, each tile with single-threaded FFTs writing its own
+    slice of the outputs.
     """
-    if workers is None:
-        workers = FFT_WORKERS
     if yc is not None and yc.shape != uc.shape:
         raise ValueError(f"u and y batches differ in shape: {uc.shape} vs {yc.shape}")
     n_sets = int(with_self) + (yc is not None)
     tile = tile_paths(6 * n_sets, grid, uc.real.itemsize)
     if uc.ndim != 3 or uc.shape[0] <= tile:
-        return _divergence_tile(uc, yc, with_self, table, grid, workers)
+        return _divergence_tile(uc, yc, with_self, table, grid, FFT_WORKERS)
     table.pad_layout(grid)   # fill the layout cache before the threads read it
     outs = tuple(np.empty_like(uc) for _ in range(n_sets))
 
@@ -286,7 +280,7 @@ def _path_tiled(uc: np.ndarray, yc: np.ndarray | None, with_self: bool, table: M
         for out, b in zip(outs, _divergence_tile(uc[part], y, with_self, table, grid, 1)):
             out[part] = b
 
-    map_tiles(run, uc.shape[0], tile, workers)
+    map_tiles(run, uc.shape[0], tile)
     return outs
 
 
@@ -325,22 +319,20 @@ def _divergence_tile(uc, yc, with_self, table, grid, workers):
                  for j in range(n_sets))
 
 
-def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int,
-                 workers: int | None = None) -> np.ndarray:
+def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
     """B(u, u) in divergence form for (..., K, 3) batches of divergence-free u."""
-    return _path_tiled(uc, None, True, table, grid, workers)[0]
+    return _path_tiled(uc, None, True, table, grid)[0]
 
 
-def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
-                    workers: int | None = None) -> np.ndarray:
+def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
     """B(y, u) + B(u, y) in divergence form (both fields divergence-free)."""
-    return _path_tiled(uc, yc, False, table, grid, workers)[0]
+    return _path_tiled(uc, yc, False, table, grid)[0]
 
 
-def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int,
-                       workers: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable,
+                       grid: int) -> tuple[np.ndarray, np.ndarray]:
     """(B(u,u), B(y,u)+B(u,y)) sharing transforms; the tangent-flow hot path."""
-    return _path_tiled(uc, yc, True, table, grid, workers)
+    return _path_tiled(uc, yc, True, table, grid)
 
 
 def b_pseudospectral(u: SpectralField, v: SpectralField,

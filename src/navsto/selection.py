@@ -46,10 +46,6 @@ class HorizonError(ValueError):
     """Discount horizon too short for the requested rate."""
 
 
-def vector_field(x):
-    return np.sign(x) * np.arctan(np.sqrt(np.abs(x)))
-
-
 def _rk4_step(x: float, dt: float) -> float:
     if x == 0.0:
         return 0.0  # equilibrium; leaving zero is a separate admissible branch
@@ -257,20 +253,23 @@ def make_selection_map(horizon: float, dt: float, s_grid, criteria):
     return S
 
 
-def check_semiflow(selection_map, state_grid, t_grid, dt: float) -> float:
-    """max defect |S(x)(t+r) - S(S(x)(t))(r)| over states and time pairs."""
-    worst = 0.0
+def semiflow_defects(selection_map, state_grid, t_grid, dt: float):
+    """Yield (x, t, r, |S(x)(t+r) - S(S(x)(t))(r)|) for every state and time
+    pair with t + r inside the horizon."""
     for x in state_grid:
         traj = selection_map(float(x))
         for t in t_grid:
             i = int(round(t / dt))
             if abs(i * dt - t) > 1e-9:
                 raise ValueError(f"time {t} not on the grid")
-            mid = float(traj[i])
-            tail = selection_map(mid)
+            tail = selection_map(float(traj[i]))
             for r in t_grid:
                 j = int(round(r / dt))
                 if i + j >= traj.size or j >= tail.size:
                     continue
-                worst = max(worst, abs(traj[i + j] - tail[j]))
-    return worst
+                yield x, t, r, abs(traj[i + j] - tail[j])
+
+
+def check_semiflow(selection_map, state_grid, t_grid, dt: float) -> float:
+    """max semiflow defect over states and time pairs (0.0 when none)."""
+    return max([0.0] + [d for *_, d in semiflow_defects(selection_map, state_grid, t_grid, dt)])

@@ -18,9 +18,6 @@ from numpy.random import Generator, Philox
 TWO_PI = 2.0 * np.pi
 FOUR_PI_SQ = 4.0 * np.pi**2
 
-#: default tolerance for structural invariants (relative)
-STRUCT_TOL = 1e-12
-
 
 class AliasError(ValueError):
     """Physical grid too small for an alias-free representation."""
@@ -251,12 +248,6 @@ def divergence_residual(field: SpectralField) -> float:
     return float(dot.max() / scale)
 
 
-def assert_divergence_free(field: SpectralField, tol: float = STRUCT_TOL):
-    res = divergence_residual(field)
-    if res > tol:
-        raise AssertionError(f"incompressibility residual {res:.3e} > {tol:.0e}")
-
-
 # -- core operations ----------------------------------------------------------
 
 def apply_stokes_power(u: SpectralField, alpha: float) -> SpectralField:
@@ -428,11 +419,21 @@ def write_snapshot_csv(field: SpectralField, path) -> None:
 
 
 def read_snapshot_csv(path, n: int) -> SpectralField:
+    """Rows may come in any order, each at k or (conjugated) at -k.
+
+    Real and imaginary parts are copied as written, signed zeros included.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     tab = mode_table(n)
+    k = data[:, :3].astype(np.int64)
+    at_k, at_minus_k = tab.rows(k), tab.rows(-k)
+    stored = at_k >= 0
+    rows = np.where(stored, at_k, at_minus_k)
+    if (rows < 0).any():
+        bad = tuple(int(x) for x in k[np.argmax(rows < 0)])
+        raise KeyError(f"wavevector {bad} outside truncation N={n}")
+    c = np.empty((rows.size, 3), dtype=np.complex128)
+    c.real, c.imag = data[:, 3::2], np.where(stored[:, None], data[:, 4::2], -data[:, 4::2])
     field = SpectralField.zero(n)
-    for row in data:
-        k = row[:3].astype(np.int64)
-        c = row[3::2] + 1j * row[4::2]
-        field.coeffs[tab.index_of(k)] = c if tab.is_stored(k) else np.conj(c)
+    field.coeffs[rows] = c
     return field

@@ -83,17 +83,6 @@ def _mean_se(x: np.ndarray):
     return m, se
 
 
-def mphi_step_variance(cfg: SimConfig, cov: CovarianceSpec, phi: TestFunction) -> float:
-    """Exact per-step variance of the scheme noise paired with phi.
-
-    Equals |Q^(1/2) phi|^2 dt for the Euler-Maruyama scheme; the exponential
-    scheme damps each mode by (1 - exp(-2 nu lam dt)) / (2 nu lam dt).
-    """
-    v = scheme_step_variance(cfg, cov)
-    mag = (phi.coeffs.real**2 + phi.coeffs.imag**2).sum(axis=-1)
-    return float(2.0 * (v * mag).sum())
-
-
 def mphi_variance_reference(cfg: SimConfig, cov: CovarianceSpec, phi: TestFunction,
                             n_steps: int) -> float:
     """Exact variance of the discrete M^phi accumulator at step n, zero start.
@@ -407,7 +396,6 @@ def make_psi(kind: str, clip: float, phi: SpectralField | None = None):
 
 def bel_gradient_probe(cfg: SimConfig, x: SpectralField, h: SpectralField, psi,
                        path_ids, fd_path_ids=None, fd_eps: float = 1e-2,
-                       chunk: int = dyn.CHUNK,
                        name: str = "bel-gradient-probe") -> TestReport:
     """Derivative of E[psi(u_t)] in direction h, two independent ways.
 
@@ -419,16 +407,14 @@ def bel_gradient_probe(cfg: SimConfig, x: SpectralField, h: SpectralField, psi,
     if cfg.t_end <= 0:
         raise ValueError("probe horizon must be positive")
     t0 = time.perf_counter()
-    out = dyn.run_tangent_ensemble(cfg, x.coeffs, h.coeffs, path_ids, chunk=chunk)
+    out = dyn.run_tangent_ensemble(cfg, x.coeffs, h.coeffs, path_ids)
     vals = psi(out["final"]) * out["bel_sum"] / out["n_steps"]
     bel, bel_se = _mean_se(vals)
 
     if fd_path_ids is None:
         fd_path_ids = path_ids
-    plus = dyn.run_ensemble(cfg, fd_path_ids, x0=x.coeffs + fd_eps * h.coeffs,
-                            chunk=chunk)
-    minus = dyn.run_ensemble(cfg, fd_path_ids, x0=x.coeffs - fd_eps * h.coeffs,
-                             chunk=chunk)
+    plus = dyn.run_ensemble(cfg, fd_path_ids, x0=x.coeffs + fd_eps * h.coeffs)
+    minus = dyn.run_ensemble(cfg, fd_path_ids, x0=x.coeffs - fd_eps * h.coeffs)
     d = (psi(plus.final) - psi(minus.final)) / (2.0 * fd_eps)
     fd, fd_se = _mean_se(d)
 

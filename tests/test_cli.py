@@ -37,6 +37,13 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="valid keys"):
             cli.parse_config(p)
 
+    @pytest.mark.parametrize("line", ["precision = single\n", "paths = 10\n"])
+    def test_unread_keys_are_rejected(self, tmp_path, line):
+        # no handler read these keys; a config setting them must not run as if it had
+        p = write_cfg(tmp_path, line)
+        with pytest.raises(cli.ConfigError, match="unknown key"):
+            cli.parse_config(p)
+
     def test_bad_value(self, tmp_path):
         p = write_cfg(tmp_path, "resolution = soup\n")
         with pytest.raises(cli.ConfigError):
@@ -165,3 +172,20 @@ criteria = x@1.0
         assert (run / "j_table.csv").exists()
         rep = json.loads((run / "report.json").read_text())
         assert rep["selected"] == "+phi(s=0)"
+
+
+def test_every_config_key_is_read():
+    """Each key of _KEYS is read as cfg["key"] (or c["key"]) somewhere in cli.py,
+    or through _field(cfg, which) as {which}_seed/_amplitude/_exponent."""
+    import ast
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)):
+            read.add(node.slice.value)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_field" and isinstance(node.args[1], ast.Constant)):
+            which = node.args[1].value
+            read |= {f"{which}_seed", f"{which}_amplitude", f"{which}_exponent"}
+    assert sorted(set(cli._KEYS) - read) == []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,17 @@ def single_mode_field(n, k, vec):
     f = sp.SpectralField.zero(n)
     f.set(k, np.asarray(vec, dtype=complex))
     return f
+
+
+def stokes_z(cfg, path_id=0):
+    """The advection-off path driven by the noise of (cfg.seed, path_id)."""
+    return dyn.run_ensemble(replace(cfg, mode="stokes"), [path_id], keep_series=True).path(0)
+
+
+def tangent(cfg, x, h, path_id=0):
+    """Final tangent Du h of one path started at x (None: the zero field)."""
+    x = np.zeros_like(h.coeffs) if x is None else x.coeffs
+    return dyn._tangent_chunk(cfg, x, h.coeffs, np.array([path_id]))[1][0]
 
 
 class TestChiR:
@@ -131,7 +144,7 @@ class TestEnergyFunctionals:
 class TestStokesAndAuxiliary:
     def test_zero_noise_z_is_zero(self):
         cfg = cfg_small(noise_amplitude=0.0)
-        rec = dyn.solve_stokes_z(cfg)
+        rec = stokes_z(cfg)
         assert np.abs(rec.series).max() == 0.0
 
     def test_z_mean_zero_ensemble(self):
@@ -173,7 +186,7 @@ class TestStokesAndAuxiliary:
                             alpha0=0.75, q0=20.0, seed=12)
         x0 = sp.random_divfree_field(4, sp.powerlaw_profile(3.0, 1.0), seed=13)
         u = dyn.simulate_path(cfg, path_id=5, x0=x0, keep_series=True)
-        z = dyn.solve_stokes_z(cfg, path_id=5)
+        z = stokes_z(cfg, path_id=5)
         v = dyn.solve_auxiliary_v(x0, z.series, cfg)
         sup = np.abs((v.series + z.series) - u.series).max()
         assert sup <= 10 * cfg.dt * max(1.0, np.abs(u.series).max())
@@ -182,21 +195,21 @@ class TestStokesAndAuxiliary:
 
 
 class TestLinearizedFlow:
+    """The tangent that _tangent_chunk co-integrates with each path."""
+
     def test_zero_direction(self):
         cfg = dyn.SimConfig(n=3, dt=1e-4, t_end=1e-3, scheme="em", mode="cutoff",
                             r=10.0, alpha0=0.75, q0=5.0, seed=14)
-        u = dyn.simulate_path(cfg, x0=None, keep_series=True)
-        du = dyn.linearized_flow(u.series, sp.SpectralField.zero(3), cfg)
+        du = tangent(cfg, None, sp.SpectralField.zero(3))
         assert np.abs(du).max() == 0.0
 
     def test_linear_part_exact_decay(self):
         cfg = dyn.SimConfig(n=2, dt=1e-4, t_end=1e-3, scheme="expo-em", mode="stokes",
                             alpha0=0.75, q0=1.0, seed=15)
-        u = dyn.simulate_path(cfg, keep_series=True)
         h = single_mode_field(2, (1, 0, 0), [0, 1.0, 0.0])
-        du = dyn.linearized_flow(u.series, h, cfg)
+        du = tangent(cfg, None, h)
         lam = sp.stokes_eigenvalue((1, 0, 0))
-        got = sp.SpectralField(2, du[-1]).get((1, 0, 0))
+        got = sp.SpectralField(2, du).get((1, 0, 0))
         assert np.allclose(got, np.exp(-lam * cfg.t_end) * np.array([0, 1.0, 0]),
                            rtol=1e-12)
 
@@ -204,12 +217,11 @@ class TestLinearizedFlow:
         cfg = dyn.SimConfig(n=3, dt=1e-4, t_end=1e-3, scheme="em", mode="cutoff",
                             r=10.0, alpha0=0.75, q0=5.0, seed=16)
         x0 = sp.random_divfree_field(3, sp.powerlaw_profile(3.0, 0.1), seed=17)
-        u = dyn.simulate_path(cfg, x0=x0, keep_series=True)
         h1 = sp.random_divfree_field(3, sp.powerlaw_profile(3.0, 1.0), seed=18)
         h2 = sp.random_divfree_field(3, sp.powerlaw_profile(3.0, 1.0), seed=19)
-        d1 = dyn.linearized_flow(u.series, h1, cfg)
-        d2 = dyn.linearized_flow(u.series, h2, cfg)
-        d12 = dyn.linearized_flow(u.series, h1 + h2, cfg)
+        d1 = tangent(cfg, x0, h1)
+        d2 = tangent(cfg, x0, h2)
+        d12 = tangent(cfg, x0, h1 + h2)
         assert np.abs(d12 - (d1 + d2)).max() <= 1e-10 * max(np.abs(d12).max(), 1e-30)
 
     def test_matches_finite_difference_with_common_noise(self):
@@ -218,36 +230,38 @@ class TestLinearizedFlow:
                             r=50.0, alpha0=0.75, q0=10.0, seed=20)
         x0 = sp.random_divfree_field(n, sp.powerlaw_profile(3.0, 0.5), seed=21)
         h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0, 1.0), seed=22)
-        u = dyn.simulate_path(cfg, path_id=0, x0=x0, keep_series=True)
-        du = dyn.linearized_flow(u.series, h, cfg)
+        du = tangent(cfg, x0, h)
         eps = 1e-5
         up = dyn.simulate_path(cfg, path_id=0, x0=sp.SpectralField(n, x0.coeffs + eps * h.coeffs),
                                keep_series=True)
         um = dyn.simulate_path(cfg, path_id=0, x0=sp.SpectralField(n, x0.coeffs - eps * h.coeffs),
                                keep_series=True)
         fd = (up.series - um.series) / (2 * eps)
-        rel = np.abs(du[-1] - fd[-1]).max() / np.abs(fd[-1]).max()
+        rel = np.abs(du - fd[-1]).max() / np.abs(fd[-1]).max()
         assert rel <= 1e-3
 
     def test_cutoff_band_term_active(self):
-        # park the trajectory inside the transition band so chi' != 0 matters
-        n = 3
-        cfg = dyn.SimConfig(n=n, dt=5e-5, t_end=1e-3, scheme="em", mode="cutoff",
-                            r=1.0, alpha0=0.25, q0=1.0, seed=23)
-        x0 = sp.random_divfree_field(n, sp.powerlaw_profile(2.0), seed=24)
-        w2 = sp.sobolev_norm_sq(x0.coeffs, sp.mode_table(n).lam, sp.theta(0.25))
-        x0 = sp.SpectralField(n, x0.coeffs * np.sqrt(2.5 / w2))  # W^2 = 2.5 in (R+1, R+2)
-        u = dyn.simulate_path(cfg, path_id=0, x0=x0, keep_series=True)
-        assert np.any(dyn.chi_r_prime(
-            sp.sobolev_norm_sq(u.series, sp.mode_table(n).lam, sp.theta(0.25)), 1.0) != 0.0)
-        h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0), seed=25)
-        du = dyn.linearized_flow(u.series, h, cfg)
+        # x starts far above the chi band, so chi = 0 until the viscous decay
+        # carries |u|_W^2 into [R+1, R+2] at step 2 on some paths; there the
+        # chi' term is a large part of the step's derivative (dropping it
+        # misses the finite difference by up to 2e-1)
+        n, R = 4, 170.0
+        cfg = dyn.SimConfig(n=n, dt=1e-3, t_end=4e-3, scheme="expo-em", mode="cutoff",
+                            r=R, alpha0=0.25, q0=30.0, seed=7)
+        x = sp.random_divfree_field(n, sp.powerlaw_profile(3.0), seed=101)
+        x = x * np.sqrt(282.8 / float(sp.sobolev_norm_sq(x.coeffs, x.table.lam, sp.theta(0.25))))
+        h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0, 0.5), seed=201)
+        ids = np.arange(16)
+        rec = dyn.run_ensemble(cfg, ids, x0=x.coeffs)
+        band = dyn.chi_r_prime(rec.w2[:, :-1], R) != 0.0
+        assert not band[:, 0].any() and band[:, 1:].any()   # chi' fires mid-path
+        _, du, _ = dyn._tangent_chunk(cfg, x.coeffs, h.coeffs, ids)
         eps = 1e-6
-        up = dyn.simulate_path(cfg, path_id=0, x0=sp.SpectralField(n, x0.coeffs + eps * h.coeffs), keep_series=True)
-        um = dyn.simulate_path(cfg, path_id=0, x0=sp.SpectralField(n, x0.coeffs - eps * h.coeffs), keep_series=True)
-        fd = (up.series - um.series) / (2 * eps)
-        rel = np.abs(du[-1] - fd[-1]).max() / np.abs(fd[-1]).max()
-        assert rel <= 1e-3
+        up = dyn.run_ensemble(cfg, ids, x0=x.coeffs + eps * h.coeffs).final
+        um = dyn.run_ensemble(cfg, ids, x0=x.coeffs - eps * h.coeffs).final
+        fd = (up - um) / (2 * eps)
+        rel = np.abs(du - fd).max(axis=(1, 2)) / np.abs(fd).max(axis=(1, 2))
+        assert (rel <= 1e-6).all(), rel
 
 
 class TestStoppingTime:

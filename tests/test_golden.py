@@ -8,6 +8,7 @@ them must be re-pinned on its own, never together with a code change.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -134,7 +135,7 @@ def test_solve_auxiliary_v_both_schemes():
     out = []
     for scheme in ("em", "expo-em"):
         cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme=scheme, q0=10.0, seed=4113)
-        z = dyn.solve_stokes_z(cfg, path_id=2)
+        z = dyn.run_ensemble(replace(cfg, mode="stokes"), [2], keep_series=True).path(0)
         v = dyn.solve_auxiliary_v(sp.SpectralField(3, field(3, 4114, 3.0, 0.3)), z.series, cfg)
         out += [v.series, v.h2, v.v2, v.w2, v.int_v2]
     assert digest(*out) == (
@@ -142,17 +143,19 @@ def test_solve_auxiliary_v_both_schemes():
 
 
 def test_linearized_flow_em_cutoff_chi_prime_active():
-    # the regime of the derivative-flow band test: W^2 = 2.5 in (R+1, R+2)
+    # W^2 = 2.5 in (R+1, R+2); the final tangent of path 0, pinned as the end
+    # point of the stored-trajectory linearized flow that it replaced
     n = 3
     cfg = dyn.SimConfig(n=n, dt=5e-5, t_end=1e-3, scheme="em", mode="cutoff",
                         r=1.0, alpha0=0.25, q0=1.0, seed=4115)
-    u = dyn.simulate_path(cfg, x0=scaled_field(n, 4116, 0.25, 2.5), keep_series=True)
+    x = scaled_field(n, 4116, 0.25, 2.5)
+    u = dyn.simulate_path(cfg, x0=x, keep_series=True)
     w2 = sp.sobolev_norm_sq(u.series, sp.mode_table(n).lam, sp.theta(0.25))
     assert (dyn.chi_r_prime(w2, cfg.r) != 0.0).any()
-    du = dyn.linearized_flow(u.series, sp.random_divfree_field(n, sp.powerlaw_profile(3.0), 4117),
-                             cfg)
-    assert digest(du) == (
-        "d404ae0d09e7b32a854dab7e2af2e6042b47ffacbadc145998a6f753cde5847e")
+    h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0), 4117)
+    _, du, _ = dyn._tangent_chunk(cfg, x.coeffs, h.coeffs, np.array([0]))
+    assert digest(du[0]) == (
+        "34b6c057068d92eec8503a2ed6180f045654791d30b8f0c6a496567f30cf1cea")
 
 
 def test_paired_full_cutoff_em():

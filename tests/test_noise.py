@@ -118,7 +118,8 @@ class TestOUIncrements:
         assert np.abs(g).max() == 0.0
 
     def test_decay_and_variance_shapes(self, cov4):
-        decay, field = ns.sample_ou_increment(cov4, 0.01, seed=3)
+        decay = ns.ou_decay(cov4, 0.01)
+        field = sp.SpectralField(cov4.n, ns.ou_block(cov4, 0.01, seed=3, path_ids=[0], step=0)[0])
         assert decay.shape == (cov4.table.n_modes,)
         assert np.all((0 < decay) & (decay < 1))
         assert sp.divergence_residual(field) <= 1e-12

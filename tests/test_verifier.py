@@ -88,9 +88,9 @@ class TestMP2:
     def test_qv_reference_scheme_correction(self, mp2_setup):
         cfg, cov, phis, rec = mp2_setup
         em_cfg = dyn.SimConfig(**{**cfg.__dict__, "scheme": "em", "dt": 1e-5})
-        v_em = vf.mphi_step_variance(em_cfg, cov, phis[0])
+        v_em = vf.mphi_variance_reference(em_cfg, cov, phis[0], 1)
         assert v_em == pytest.approx(phis[0].q_sq * em_cfg.dt, rel=1e-12)
-        v_expo = vf.mphi_step_variance(cfg, cov, phis[0])
+        v_expo = vf.mphi_variance_reference(cfg, cov, phis[0], 1)
         assert v_expo < phis[0].q_sq * cfg.dt  # damped reference
 
 
