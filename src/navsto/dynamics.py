@@ -284,20 +284,31 @@ class Scheme:
         by chi when given, plus the noise increment g when given.
 
         b None is the Stokes step.  A missing g adds nothing, so no -0 turns
-        into +0.
+        into +0.  The step is built in one fresh output array, operation by
+        operation in the order of u - dt (nu lam u + chi b) (em) and
+        decay (u - dt chi b) (expo-em), so its bytes are those of the plain
+        expression; only the em step with chi forms chi b in a temporary.
         """
         dt = self.cfg.dt
         if self.decay is None:
-            drift = self.cfg.nu * self.lam[None, :, None] * u
+            out = np.multiply(self.cfg.nu * self.lam[None, :, None], u)
             if b is not None:
-                drift = drift + (b if chi is None else chi[:, None, None] * b)
-            out = u - dt * drift
+                np.add(out, b if chi is None else chi[:, None, None] * b, out=out)
+            np.multiply(dt, out, out=out)
+            np.subtract(u, out, out=out)
         elif b is None:
-            out = self.decay[None, :, None] * u
+            out = np.multiply(self.decay[None, :, None], u)
         else:
-            out = self.decay[None, :, None] * (
-                u - dt * (b if chi is None else chi[:, None, None] * b))
-        return out if g is None else out + g
+            if chi is None:
+                out = np.multiply(dt, b)
+            else:
+                out = np.multiply(chi[:, None, None], b)
+                np.multiply(dt, out, out=out)
+            np.subtract(u, out, out=out)
+            np.multiply(self.decay[None, :, None], out, out=out)
+        if g is not None:
+            np.add(out, g, out=out)
+        return out
 
     def tangent(self, u: np.ndarray, y: np.ndarray):
         """The advection and its derivative in direction y, per path:
@@ -555,16 +566,26 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
                        x0_cutoff=None):
     """Lockstep full vs cutoff runs with identical noise, compared bitwise.
 
-    Both runs batch the same paths with identical array shapes, so each
-    path's floating-point stream is reproducible; while |u|_W^2 <= R+1 the
-    cutoff factor is exactly 1.0 and the two states must agree bit for bit.
+    Both members step through the same Scheme with the same noise; while
+    |u|_W^2 <= R+1 the cutoff factor is exactly 1.0 and the two states must
+    agree bit for bit.  B is evaluated once per distinct state: one
+    b_self_batch call on the full states and the cutoff rows apart from
+    them, and a cutoff row equal to its full row (== also equates -0 and
+    +0, which move no nonzero bit of B) takes the full row's B.  Each
+    path's B depends only on its own row, so no output bit changes, but the
+    members' B are no longer two separate calls on equal rows.  B's
+    determinism across calls is guarded by the determinism audit
+    (criterion 11), TestPathTiling (tests/test_nonlinearity.py) and
+    test_paired_run_is_two_engine_runs (tests/test_dynamics.py), which
+    checks each member against its own run_ensemble run.
 
     x0_cutoff perturbs the cutoff member's start; it exists purely as a
     negative control (any divergence must be flagged).
 
     Returns a dict with tau arrays, the number of per-path bitwise
     mismatches at steps up to and including tau detection, and the maximum
-    absolute coefficient discrepancy seen over that window (0.0 on pass).
+    absolute coefficient discrepancy seen over that window (0.0 on pass,
+    inf when a mismatched coefficient is not finite).
     """
     full_cfg = replace(cfg, mode="full", r=None)
     sch = Scheme(full_cfg, np.complex128)
@@ -588,18 +609,19 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
         w2c[:, s] = _norm_sq(uc, sch.w_w)
         hit = (w2c[:, s] >= R) & (detected > S)
         detected[hit] = s
-        live = detected >= s  # up to and including the detection step
-        if live.any():
-            eq = (uf == uc).all(axis=(1, 2))
-            bad = live & ~eq
-            if bad.any():
-                mismatch[bad] += 1
-                max_disc = max(max_disc, float(np.abs(uf[bad] - uc[bad]).max()))
+        apart = ~(uf == uc).all(axis=(1, 2))
+        bad = apart & (detected >= s)  # up to and including the detection step
+        if bad.any():
+            mismatch[bad] += 1
+            disc = float(np.abs(uf[bad] - uc[bad]).max())
+            max_disc = max(max_disc, disc if np.isfinite(disc) else np.inf)
         if s == S:
             break
         g = _noise_block(full_cfg, sch.cov, path_ids, s)
-        bf = b_self_batch(uf, sch.tab, sch.grid)
-        bc = b_self_batch(uc, sch.tab, sch.grid)
+        b = b_self_batch(np.concatenate([uf, uc[apart]]), sch.tab, sch.grid)
+        bf = b[:P]
+        bc = bf.copy()
+        bc[apart] = b[P:]
         uf = sch.advance(uf, bf, None, g)
         uc = sch.advance(uc, bc, np.asarray(chi_r(w2c[:, s], R)), g)
 

@@ -459,3 +459,71 @@ def test_paired_run_is_two_engine_runs(scheme):
     assert res["w2_full"].tobytes() == full.w2.tobytes()
     assert res["w2_cutoff"].tobytes() == cut.w2.tobytes()
     assert (dyn.chi_r(cut.w2, R) < 1.0).any()
+
+
+def _advance_expression(sch, u, b, chi=None, g=None):
+    """Scheme.advance written as the plain expression its bytes must equal."""
+    dt = sch.cfg.dt
+    if sch.decay is None:
+        drift = sch.cfg.nu * sch.lam[None, :, None] * u
+        if b is not None:
+            drift = drift + (b if chi is None else chi[:, None, None] * b)
+        out = u - dt * drift
+    elif b is None:
+        out = sch.decay[None, :, None] * u
+    else:
+        out = sch.decay[None, :, None] * (
+            u - dt * (b if chi is None else chi[:, None, None] * b))
+    return out if g is None else out + g
+
+
+@pytest.mark.parametrize("cdtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("scheme", ["em", "expo-em"])
+def test_advance_matches_plain_expression(scheme, cdtype):
+    # every branch of the out= chain: Stokes, b and chi b, each with and without g
+    sch = dyn.Scheme(dyn.SimConfig(n=3, dt=1e-3, t_end=1e-3, scheme=scheme, nu=0.7,
+                                   q0=5.0), cdtype)
+    real = np.finfo(cdtype).dtype
+    rng = np.random.default_rng(80)
+    shape = (5, sch.tab.n_modes, 3)
+
+    def draw():
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(cdtype)
+        a.real[0, :4], a.imag[1, :4] = -0.0, -0.0   # signed zeros must survive
+        return a
+
+    u, b, g = draw(), draw(), draw()
+    chi = np.array([1.0, 0.5, 0.0, 1.0, 0.25], dtype=real)
+    for bb, cc in ((None, None), (b, None), (b, chi)):
+        for gg in (None, g):
+            got = sch.advance(u, bb, cc, gg)
+            want = _advance_expression(sch, u, bb, cc, gg)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_paired_run_evaluates_b_once_per_distinct_state(monkeypatch):
+    # equal full and cut-off rows share one B row; rows apart are evaluated on their own
+    cfg = dyn.SimConfig(n=4, dt=5e-4, t_end=0.01, scheme="expo-em", mode="full",
+                        alpha0=0.75, q0=60.0, seed=79)
+    ids, S = np.arange(12), cfg.n_steps
+    P = ids.size
+    rows = []
+    b_self_batch = dyn.b_self_batch
+
+    def spy(u, tab, grid):
+        rows.append(u.shape[0])
+        return b_self_batch(u, tab, grid)
+
+    monkeypatch.setattr(dyn, "b_self_batch", spy)
+    dyn.paired_full_cutoff(cfg, ids, R=1e9)
+    assert rows == [P] * S
+    rows.clear()
+    x = sp.random_divfree_field(4, sp.powerlaw_profile(3.0, 0.05), seed=81).coeffs
+    dyn.paired_full_cutoff(cfg, ids, R=1e9, x0=x, x0_cutoff=x * (1 + 1e-12))
+    assert rows == [2 * P] * S
+    rows.clear()
+    res = dyn.paired_full_cutoff(cfg, ids, R=20.0)
+    apart = (res["w2_full"] != res["w2_cutoff"])[:, :S].sum(axis=0)
+    assert apart[0] == 0 and apart[-1] > 0   # shared at first, apart after crossings
+    assert rows == (P + apart).tolist()

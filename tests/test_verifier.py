@@ -263,6 +263,35 @@ class TestNegativeControls:
         assert out["mismatch_steps"].sum() > 0
         assert out["max_discrepancy"] > 0.0
 
+    def test_weak_strong_nonfinite_discrepancy_is_inf(self):
+        cfg = dyn.SimConfig(n=3, dt=5e-4, t_end=0.005, scheme="expo-em", mode="full",
+                            alpha0=0.75, q0=5.0, seed=55)
+        x = sp.random_divfree_field(3, sp.powerlaw_profile(3.0, 0.05), seed=56)
+        bad = x.coeffs.copy()
+        bad[0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            out = dyn.paired_full_cutoff(cfg, np.arange(4), R=1e9, x0=x.coeffs,
+                                         x0_cutoff=bad)
+        assert out["mismatch_steps"].tolist() == [11] * 4
+        assert out["max_discrepancy"] == np.inf
+
+    def test_weak_strong_sees_chi_one_ulp_below_one(self, monkeypatch):
+        # the shared B must not hide a cut-off factor that is not exactly 1.0
+        cfg = dyn.SimConfig(n=4, dt=5e-4, t_end=0.01, scheme="expo-em", mode="full",
+                            alpha0=0.75, q0=60.0, seed=79)
+        ids, R = np.arange(12), 20.0
+        chi_r = dyn.chi_r
+
+        def nudged(r, level):
+            chi = chi_r(r, level)
+            return np.where(chi == 1.0, np.nextafter(1.0, 0.0), chi)
+
+        monkeypatch.setattr(dyn, "chi_r", nudged)
+        out = dyn.paired_full_cutoff(cfg, ids, R=R)
+        assert out["crossings"] > 0
+        assert out["mismatch_steps"].sum() > 0
+        assert vf.test_weak_strong(cfg, ids, R=R).verdict == "fail"
+
     def test_bel_control_scaled_weight(self):
         cfg = dyn.SimConfig(n=2, dt=2e-3, t_end=0.05, scheme="expo-em", mode="stokes",
                             alpha0=0.25, q0=1.0, seed=57)
