@@ -29,6 +29,7 @@ from .spectral import (
     mode_table,
     random_divfree_field,
     powerlaw_profile,
+    sobolev_norm_sq,
     write_snapshot,
 )
 
@@ -183,7 +184,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _finish(out: Path, subcommand: str, cfg: dict, seeds, artifacts: dict,
-            verdicts: dict, t0: float, blowups: int = 0) -> int:
+            verdicts: dict, t0: float, blowups: int) -> int:
     manifest = dict(subcommand=subcommand, config=cfg, seeds=list(map(int, seeds)),
                     tool_version=__version__, artifacts=artifacts,
                     wall_clock_s=time.time() - t0, verdicts=verdicts,
@@ -200,6 +201,12 @@ def _finish(out: Path, subcommand: str, cfg: dict, seeds, artifacts: dict,
     return 0
 
 
+def _report(out: Path, rep: vf.TestReport, blowups: int = 0):
+    """report.json of one TestReport, as a handler's (artifacts, verdicts, blowups)."""
+    _write_json(out / "report.json", rep.to_json_dict())
+    return {"report": "report.json"}, {rep.name: rep.verdict}, blowups
+
+
 def _seed_range(spec: str) -> list:
     if ".." in spec:
         a, b = spec.split("..")
@@ -207,10 +214,9 @@ def _seed_range(spec: str) -> list:
     return [int(spec)]
 
 
-# -- subcommand bodies -----------------------------------------------------------
+# -- subcommand bodies: each returns (artifacts, verdicts, blowups) ---------------
 
 def cmd_simulate(args, cfg, seeds, out):
-    t0 = time.time()
     sim = sim_config(cfg)
     artifacts, blow = {}, 0
     cov = sim.covariance()
@@ -227,9 +233,7 @@ def cmd_simulate(args, cfg, seeds, out):
             write_snapshot(snap, out / fn)
             artifacts[fn] = fn
         blow += int(rec.blown)
-    verdict = "pass" if blow == 0 else "inconclusive"
-    return _finish(out, "simulate", cfg, seeds, artifacts,
-                   {"simulate": verdict}, t0, blowups=blow)
+    return artifacts, {"simulate": "pass" if blow == 0 else "inconclusive"}, blow
 
 
 def _ensemble_with_phis(cfg, seeds, workers, amplitude=1.0):
@@ -243,7 +247,6 @@ def _ensemble_with_phis(cfg, seeds, workers, amplitude=1.0):
 
 
 def cmd_verify_mp2(args, cfg, seeds, out):
-    t0 = time.time()
     sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds, args.workers)
     cps = _grid_times(cfg)
     corrupted = None
@@ -255,14 +258,10 @@ def cmd_verify_mp2(args, cfg, seeds, out):
     if cfg["pilot_paths"]:
         bias = vf.richardson_bias(sim, np.arange(cfg["pilot_paths"]), phis, cps)
     rep = vf.test_mp2_martingale(rec, phis, cps, cov, bias=bias, corrupted=corrupted)
-    _write_json(out / "report.json", rep.to_json_dict())
-    blow = int(rec.blown.sum())
-    return _finish(out, "verify-mp2", cfg, seeds, {"report": "report.json"},
-                   {rep.name: rep.verdict}, t0, blowups=blow)
+    return _report(out, rep, int(rec.blown.sum()))
 
 
 def cmd_verify_energy(args, cfg, seeds, out):
-    t0 = time.time()
     sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds, args.workers)
     cps = _grid_times(cfg)
     bias = None
@@ -275,12 +274,10 @@ def cmd_verify_energy(args, cfg, seeds, out):
         _write_json(out / fn, rep.to_json_dict())
         artifacts[f"E{n}"] = fn
         verdicts[rep.name] = rep.verdict
-    return _finish(out, "verify-energy", cfg, seeds, artifacts, verdicts, t0,
-                   blowups=int(rec.blown.sum()))
+    return artifacts, verdicts, int(rec.blown.sum())
 
 
 def cmd_verify_doob(args, cfg, seeds, out):
-    t0 = time.time()
     sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds, args.workers)
     a = cfg["interval_a"] or rec.times[1]
     b = cfg["interval_b"] or rec.times[-1]
@@ -288,24 +285,16 @@ def cmd_verify_doob(args, cfg, seeds, out):
     alpha = rec.h2**n
     top = float(np.nanmax(alpha)) * (1 + 2 * n)
     lam_grid = np.linspace(top / cfg["lambda_count"], top, cfg["lambda_count"])
-    rep = vf.test_doob(rec, n, (a, b), lam_grid)
-    _write_json(out / "report.json", rep.to_json_dict())
-    return _finish(out, "verify-doob", cfg, seeds, {"report": "report.json"},
-                   {rep.name: rep.verdict}, t0, blowups=int(rec.blown.sum()))
+    return _report(out, vf.test_doob(rec, n, (a, b), lam_grid), int(rec.blown.sum()))
 
 
 def cmd_verify_weak_strong(args, cfg, seeds, out):
-    t0 = time.time()
     sim = sim_config(cfg, {"mode": "full"})
-    rep = vf.test_weak_strong(sim, seeds, cfg["weak_strong_r"],
-                              min_crossings=cfg["min_crossings"])
-    _write_json(out / "report.json", rep.to_json_dict())
-    return _finish(out, "verify-weak-strong", cfg, seeds, {"report": "report.json"},
-                   {rep.name: rep.verdict}, t0)
+    return _report(out, vf.test_weak_strong(sim, seeds, cfg["weak_strong_r"],
+                                            min_crossings=cfg["min_crossings"]))
 
 
 def cmd_bel_probe(args, cfg, seeds, out):
-    t0 = time.time()
     sim = sim_config(cfg, {"mode": "cutoff" if cfg["cutoff_r"] else "full"})
     x = _field(cfg, "x")
     h = _field(cfg, "h")
@@ -321,13 +310,10 @@ def cmd_bel_probe(args, cfg, seeds, out):
     rep = vf.bel_gradient_probe(
         sim, x, h, psi, np.arange(cfg["bel_paths"]),
         fd_path_ids=np.arange(cfg["fd_paths"]), fd_eps=cfg["fd_eps"])
-    _write_json(out / "report.json", rep.to_json_dict())
-    return _finish(out, "bel-probe", cfg, seeds, {"report": "report.json"},
-                   {rep.name: rep.verdict}, t0)
+    return _report(out, rep)
 
 
 def cmd_sweep(args, cfg, seeds, out):
-    t0 = time.time()
     spec = vf.SweepSpec(
         alphas=tuple(_parse_floats(cfg["alphas"])),
         resolutions=tuple(_parse_ints(cfg["resolutions"])),
@@ -345,12 +331,10 @@ def cmd_sweep(args, cfg, seeds, out):
     verdicts = {"bilinear-sweep": "pass" if verdict == "bounded" else "fail"}
     if cfg["fit_m2"]:
         verdicts["m2-endpoint"] = result["m2_endpoint"]["verdict"]
-    return _finish(out, "sweep-inequalities", cfg, seeds,
-                   {"ratios": "ratios.csv", "summary": "summary.json"}, verdicts, t0)
+    return {"ratios": "ratios.csv", "summary": "summary.json"}, verdicts, 0
 
 
 def cmd_control_steer(args, cfg, seeds, out):
-    t0 = time.time()
     sim = sim_config(cfg, {"mode": "cutoff", "cutoff_r": cfg["control_r"],
                            "horizon": cfg["control_t"]})
     x = _field(cfg, "x")
@@ -358,34 +342,31 @@ def cmd_control_steer(args, cfg, seeds, out):
     R = cfg["control_r"]
     w_inc, designed, info = dyn.build_control(x, y, cfg["control_t"], R, sim)
     replay = dyn.solve_controlled(x, w_inc, R, sim)
-    tab = mode_table(sim.n)
-    from .spectral import sobolev_norm_sq as nsq
-    from .spectral import theta as theta_fn
-    w_w = tab.lam ** (2 * theta_fn(sim.alpha0))
-    end_err = float(np.sqrt(nsq(replay.series[-1] - y.coeffs, tab.lam, 0.0)
-                            / max(nsq(y.coeffs, tab.lam, 0.0), 1e-300)))
-    endpoint_w = float(np.sqrt(2.0 * ((np.abs(replay.series[-1] - y.coeffs)**2).sum(-1) * w_w).sum()))
-    write_snapshot(SpectralField(sim.n, designed[-1]), out / "designed_end.bin")
-    write_snapshot(SpectralField(sim.n, replay.series[-1]), out / "replayed_end.bin")
+    sch = dyn.Scheme(sim, np.complex128)
+    lam, miss = sch.tab.lam, replay.series[-1] - y.coeffs
+    end_err = float(np.sqrt(sobolev_norm_sq(miss, lam, 0.0)
+                            / max(sobolev_norm_sq(y.coeffs, lam, 0.0), 1e-300)))
+    endpoint_w = float(np.sqrt(2.0 * ((np.abs(miss)**2).sum(-1) * sch.w_w).sum()))
+    snaps = {"designed_end": designed[-1], "replayed_end": replay.series[-1]}
     # control path (cumulative w) and designed states at quarter points
     w_path = np.concatenate([np.zeros_like(w_inc[:1]), np.cumsum(w_inc, axis=0)])
     steps = w_path.shape[0] - 1
     for q in (0, 1, 2, 3, 4):
         i = (q * steps) // 4
-        write_snapshot(SpectralField(sim.n, w_path[i]), out / f"control_q{q}.bin")
-        write_snapshot(SpectralField(sim.n, designed[i]), out / f"state_q{q}.bin")
+        snaps[f"control_q{q}"], snaps[f"state_q{q}"] = w_path[i], designed[i]
+    artifacts = {"report": "report.json"}
+    for name, c in snaps.items():
+        write_snapshot(SpectralField(sim.n, c), out / f"{name}.bin")
+        artifacts[name] = f"{name}.bin"
     report = dict(t_star=info["t_star"], sup_w2=info["sup_w2"], R=R,
                   replay_endpoint_w_error=endpoint_w,
                   replay_endpoint_rel_error=end_err)
     _write_json(out / "report.json", report)
     ok = info["sup_w2"] <= R and endpoint_w <= 1e-8
-    return _finish(out, "control-steer", cfg, seeds,
-                   {"report": "report.json"},
-                   {"controllability": "pass" if ok else "fail"}, t0)
+    return artifacts, {"controllability": "pass" if ok else "fail"}, 0
 
 
 def cmd_select_demo(args, cfg, seeds, out):
-    t0 = time.time()
     dt, horizon = cfg["demo_dt"], cfg["demo_horizon"]
     s_grid = np.linspace(0.0, cfg["s_span"], cfg["s_count"])
     criteria = []
@@ -417,15 +398,12 @@ def cmd_select_demo(args, cfg, seeds, out):
     bound = 10.0 * dt * dt
     _write_json(out / "report.json",
                 dict(selected=best.label(), semiflow_defect=defect, bound=bound))
-    return _finish(out, "select-demo", cfg, seeds,
-                   {"funnel": "funnel.csv", "j_table": "j_table.csv",
-                    "selected": "selected.csv", "semiflow": "semiflow.csv",
-                    "report": "report.json"},
-                   {"selection-semiflow": "pass" if defect <= bound else "fail"}, t0)
+    return ({"funnel": "funnel.csv", "j_table": "j_table.csv", "selected": "selected.csv",
+             "semiflow": "semiflow.csv", "report": "report.json"},
+            {"selection-semiflow": "pass" if defect <= bound else "fail"}, 0)
 
 
 def cmd_report(args, cfg, seeds, out):
-    t0 = time.time()
     verdicts, seen, missing = {}, set(), []
     for mpath in args.manifests:
         p = Path(mpath)
@@ -448,10 +426,7 @@ def cmd_report(args, cfg, seeds, out):
     print("overall:", overall)
     for k, v in sorted(verdicts.items()):
         print(f"  {k}: {v}")
-    rc = {"pass": 0, "fail": 1, "inconclusive": 2}[overall]
-    _finish(out, "report", cfg, seeds, {"consolidated": "consolidated.json"},
-            {"report": overall if overall != "pass" else "pass"}, t0)
-    return rc
+    return {"consolidated": "consolidated.json"}, {"report": overall}, 0
 
 
 _HANDLERS = {
@@ -491,8 +466,10 @@ def main(argv=None) -> int:
     if args.scheme is not None:
         cfg["scheme"] = args.scheme
     seeds = _seed_range(args.seeds)
+    t0 = time.time()
     out = _out_dir(args, args.subcommand, cfg, seeds)
-    return _HANDLERS[args.subcommand](args, cfg, np.array(seeds), out)
+    artifacts, verdicts, blowups = _HANDLERS[args.subcommand](args, cfg, np.array(seeds), out)
+    return _finish(out, args.subcommand, cfg, seeds, artifacts, verdicts, t0, blowups)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ controls; a release is invalid unless every control fails.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,25 +54,40 @@ class TestFunction:
 
 @dataclass
 class TestReport:
+    """Sub-tests in order under the one band rule; the verdict fails exactly
+    when a sub-test or a negative control did."""
+
     name: str
     ensemble_size: int
-    estimates: list          # [{"label": str, "value": float}]
-    standard_errors: list    # [{"label": str, "value": float}]
-    bands: list              # [{"label": str, "lo": float, "hi": float}]
     threshold_rule: str
-    verdict: str             # pass | fail | inconclusive
     params: dict
+    estimates: list = field(default_factory=list)        # [{"label", "value"}]
+    standard_errors: list = field(default_factory=list)  # [{"label", "value"}]
+    bands: list = field(default_factory=list)            # [{"label", "lo", "hi"}]
     controls: list = field(default_factory=list)
-    runtime_s: float = 0.0
     failures: list = field(default_factory=list)
 
-    def to_json_dict(self, include_runtime: bool = False) -> dict:
-        d = dict(name=self.name, params=self.params, estimates=self.estimates,
-                 se=self.standard_errors, band=self.bands, verdict=self.verdict,
-                 controls=self.controls, failures=self.failures)
-        if include_runtime:
-            d["runtime_s"] = self.runtime_s
-        return d
+    @property
+    def verdict(self) -> str:
+        return "pass" if not self.failures else "fail"
+
+    def add(self, label, value, se, lo, hi):
+        """A sub-test whose estimate is `value` itself."""
+        self.estimates.append({"label": label, "value": value})
+        self.check(label, value, se, lo, hi)
+
+    def check(self, label, value, se, lo, hi):
+        """The standard error and band of `label`; it fails unless
+        lo <= value <= hi, so a NaN value fails every band."""
+        self.standard_errors.append({"label": label, "value": se})
+        self.bands.append({"label": label, "lo": lo, "hi": hi})
+        if not (lo <= value <= hi):
+            self.failures.append(label)
+
+    def to_json_dict(self) -> dict:
+        return dict(name=self.name, params=self.params, estimates=self.estimates,
+                    se=self.standard_errors, band=self.bands, verdict=self.verdict,
+                    controls=self.controls, failures=self.failures)
 
 
 def _mean_se(x: np.ndarray):
@@ -81,6 +95,11 @@ def _mean_se(x: np.ndarray):
     m = float(x.mean())
     se = float(x.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
     return m, se
+
+
+def _windows(checkpoints) -> list:
+    """Consecutive checkpoint windows (s, t), the first starting at 0."""
+    return list(zip([0.0, *checkpoints[:-1]], checkpoints))
 
 
 def mphi_variance_reference(cfg: SimConfig, cov: CovarianceSpec, phi: TestFunction,
@@ -141,8 +160,7 @@ def richardson_bias(cfg: SimConfig, path_ids, phis, checkpoints,
         for t in checkpoints:
             ic = coarse.checkpoint_index(t)
             out["e_mean"][(n, t)] = allowance(ec[:, ic] - ef[:, 2 * ic])
-        pairs = list(zip([0.0] + list(checkpoints[:-1]), checkpoints))
-        for s, t in pairs:
+        for s, t in _windows(checkpoints):
             i_s, i_t = coarse.checkpoint_index(s), coarse.checkpoint_index(t)
             dc = ec[:, i_t] - ec[:, i_s]
             df = ef[:, 2 * i_t] - ef[:, 2 * i_s]
@@ -152,6 +170,17 @@ def richardson_bias(cfg: SimConfig, path_ids, phis, checkpoints,
 
 # -- MP2: martingale with prescribed quadratic variation -------------------------
 
+def _var_ratio(rec: EnsembleRecord, cfg: SimConfig, cov: CovarianceSpec, j: int,
+               phi: TestFunction, t: float):
+    """Sample variance of M^phi at t over the scheme-exact QV of `cfg`, with
+    its standard error and 99% chi-square band: (ratio, se, lo, hi)."""
+    i = rec.checkpoint_index(t)
+    P = rec.path_ids.size
+    ratio = float(rec.mphi[j, :, i].var(ddof=1) / mphi_variance_reference(cfg, cov, phi, i))
+    return (ratio, float(np.sqrt(2.0 / (P - 1))),
+            sstats.chi2.ppf(0.005, P - 1) / (P - 1), sstats.chi2.ppf(0.995, P - 1) / (P - 1))
+
+
 def test_mp2_martingale(rec: EnsembleRecord, phis, checkpoints,
                         cov: CovarianceSpec, bias: dict | None = None,
                         corrupted: EnsembleRecord | None = None,
@@ -159,82 +188,50 @@ def test_mp2_martingale(rec: EnsembleRecord, phis, checkpoints,
     """Three sub-tests per test function and checkpoint: zero mean, variance
     ratio against the exact discrete quadratic variation, and orthogonality
     of increments to functionals of the past."""
-    t0 = time.perf_counter()
     cfg = rec.cfg
     P = rec.path_ids.size
-    est, ses, bands, failures = [], [], [], []
-    chi_lo = sstats.chi2.ppf(0.005, P - 1) / (P - 1)
-    chi_hi = sstats.chi2.ppf(0.995, P - 1) / (P - 1)
+    rep = TestReport(
+        name, P,
+        "|mean| <= 4 SE + bias; var ratio in 99% chi-square band "
+        "around the scheme-exact QV; |corr| <= 4/sqrt(M)",
+        dict(n=cfg.n, dt=cfg.dt, scheme=cfg.scheme, seed=cfg.seed,
+             checkpoints=list(checkpoints), phis=[p.name for p in phis]))
     mphi_bias = (bias or {}).get("mphi_mean", {})
 
     for j, phi in enumerate(phis):
         for t in checkpoints:
-            i = rec.checkpoint_index(t)
             label = f"{phi.name}@t={t:g}"
-            m, se = _mean_se(rec.mphi[j, :, i])
+            m, se = _mean_se(rec.mphi[j, :, rec.checkpoint_index(t)])
             allow = 4.0 * se + mphi_bias.get((phi.name, t), 0.0)
-            est.append({"label": f"mean[{label}]", "value": m})
-            ses.append({"label": f"mean[{label}]", "value": se})
-            bands.append({"label": f"mean[{label}]", "lo": -allow, "hi": allow})
-            if not (abs(m) <= allow):
-                failures.append(f"mean[{label}]")
-            ref = mphi_variance_reference(cfg, cov, phi, i)
-            ratio = float(rec.mphi[j, :, i].var(ddof=1) / ref)
-            est.append({"label": f"varratio[{label}]", "value": ratio})
-            ses.append({"label": f"varratio[{label}]",
-                        "value": float(np.sqrt(2.0 / (P - 1)))})
-            bands.append({"label": f"varratio[{label}]", "lo": chi_lo, "hi": chi_hi})
-            if not (chi_lo <= ratio <= chi_hi):
-                failures.append(f"varratio[{label}]")
+            rep.add(f"mean[{label}]", m, se, -allow, allow)
+            rep.add(f"varratio[{label}]", *_var_ratio(rec, cfg, cov, j, phi, t))
         # increment orthogonality over consecutive checkpoint windows
         corr_band = 4.0 / np.sqrt(P)
-        pairs = list(zip([0.0] + list(checkpoints[:-1]), checkpoints))
-        for s, t in pairs:
+        for s, t in _windows(checkpoints):
             i_s, i_t = rec.checkpoint_index(s), rec.checkpoint_index(t)
             inc = rec.mphi[j, :, i_t] - rec.mphi[j, :, i_s]
             for gname, g in (("H2", rec.h2[:, i_s]), ("proj", rec.proj_phi[j, :, i_s])):
-                label = f"corr[{phi.name},{gname}@({s:g},{t:g})]"
                 if inc.std() == 0.0 or g.std() == 0.0:
                     c = 0.0
                 else:
                     c = float(np.corrcoef(inc, g)[0, 1])
-                est.append({"label": label, "value": c})
-                ses.append({"label": label, "value": 1.0 / np.sqrt(P)})
-                bands.append({"label": label, "lo": -corr_band, "hi": corr_band})
-                if not (abs(c) <= corr_band):
-                    failures.append(label)
+                rep.add(f"corr[{phi.name},{gname}@({s:g},{t:g})]", c, 1.0 / np.sqrt(P),
+                        -corr_band, corr_band)
 
-    controls = []
-    verdict = "pass" if not failures else "fail"
     if corrupted is not None:
-        ctrl_fail = []
+        # the negative control is the variance sub-test on the corrupted ensemble
+        ctrl = TestReport("noise-amplitude-x1.5", corrupted.path_ids.size,
+                          "var ratio in 99% chi-square band", {})
         for j, phi in enumerate(phis):
             for t in checkpoints:
-                i = corrupted.checkpoint_index(t)
-                ref = mphi_variance_reference(cfg, cov, phi, i)
-                ratio = float(corrupted.mphi[j, :, i].var(ddof=1) / ref)
-                Pc = corrupted.path_ids.size
-                lo = sstats.chi2.ppf(0.005, Pc - 1) / (Pc - 1)
-                hi = sstats.chi2.ppf(0.995, Pc - 1) / (Pc - 1)
-                if not (lo <= ratio <= hi):
-                    ctrl_fail.append(f"varratio[{phi.name}@t={t:g}]={ratio:.3f}")
-        control_ok = len(ctrl_fail) > 0
-        controls.append({"name": "noise-amplitude-x1.5",
-                         "expected": "fail", "observed_failures": ctrl_fail,
-                         "valid": control_ok})
-        if not control_ok:
-            verdict = "fail"
-            failures.append("negative control passed the variance test")
-
-    return TestReport(
-        name=name, ensemble_size=P, estimates=est, standard_errors=ses,
-        bands=bands,
-        threshold_rule=("|mean| <= 4 SE + bias; var ratio in 99% chi-square band "
-                        "around the scheme-exact QV; |corr| <= 4/sqrt(M)"),
-        verdict=verdict,
-        params=dict(n=cfg.n, dt=cfg.dt, scheme=cfg.scheme, seed=cfg.seed,
-                    checkpoints=list(checkpoints), phis=[p.name for p in phis]),
-        controls=controls, runtime_s=time.perf_counter() - t0, failures=failures)
+                ratio, se, lo, hi = _var_ratio(corrupted, cfg, cov, j, phi, t)
+                ctrl.add(f"varratio[{phi.name}@t={t:g}]={ratio:.3f}", ratio, se, lo, hi)
+        rep.controls.append({"name": ctrl.name, "expected": "fail",
+                             "observed_failures": ctrl.failures,
+                             "valid": ctrl.verdict == "fail"})
+        if ctrl.verdict == "pass":
+            rep.failures.append("negative control passed the variance test")
+    return rep
 
 
 # -- MP3/MP4: energy super-martingales --------------------------------------------
@@ -248,48 +245,28 @@ def test_energy_supermartingale(rec: EnsembleRecord, n: int, checkpoints,
     n = 1 functional is a martingale for the truncated system, so its mean
     is additionally pinned two-sided around zero.
     """
-    t0 = time.perf_counter()
     cfg = rec.cfg
     if n > max(rec.int_h2nm2_v2.keys(), default=1) and n != 1:
         raise ValueError(f"moment n={n} beyond tracked n_max")
-    P = rec.path_ids.size
     E = rec.energy_series(n)
     e_mean = (bias or {}).get("e_mean", {})
     e_inc = (bias or {}).get("e_inc", {})
-    est, ses, bands, failures = [], [], [], []
+    rep = TestReport(
+        name or f"energy-supermartingale-E{n}", rec.path_ids.size,
+        "mean increment <= 4 SE + bias (E1 also |mean| <= 4 SE + bias)",
+        dict(n_res=cfg.n, dt=cfg.dt, scheme=cfg.scheme, seed=cfg.seed,
+             moment=n, checkpoints=list(checkpoints)))
 
     if n == 1:
         for t in checkpoints:
-            i = rec.checkpoint_index(t)
-            m, se = _mean_se(E[:, i])
+            m, se = _mean_se(E[:, rec.checkpoint_index(t)])
             allow = 4.0 * se + e_mean.get((1, t), 0.0)
-            label = f"meanE1@t={t:g}"
-            est.append({"label": label, "value": m})
-            ses.append({"label": label, "value": se})
-            bands.append({"label": label, "lo": -allow, "hi": allow})
-            if not (abs(m) <= allow):
-                failures.append(label)
-    pairs = list(zip([0.0] + list(checkpoints[:-1]), checkpoints))
-    for s, t in pairs:
-        i_s, i_t = rec.checkpoint_index(s), rec.checkpoint_index(t)
-        d = E[:, i_t] - E[:, i_s]
-        m, se = _mean_se(d)
-        allow = 4.0 * se + e_inc.get((n, s, t), 0.0)
-        label = f"incE{n}@({s:g},{t:g})"
-        est.append({"label": label, "value": m})
-        ses.append({"label": label, "value": se})
-        bands.append({"label": label, "lo": -np.inf, "hi": allow})
-        if not (m <= allow):
-            failures.append(label)
-
-    return TestReport(
-        name=name or f"energy-supermartingale-E{n}", ensemble_size=P,
-        estimates=est, standard_errors=ses, bands=bands,
-        threshold_rule="mean increment <= 4 SE + bias (E1 also |mean| <= 4 SE + bias)",
-        verdict="pass" if not failures else "fail",
-        params=dict(n_res=cfg.n, dt=cfg.dt, scheme=cfg.scheme, seed=cfg.seed,
-                    moment=n, checkpoints=list(checkpoints)),
-        runtime_s=time.perf_counter() - t0, failures=failures)
+            rep.add(f"meanE1@t={t:g}", m, se, -allow, allow)
+    for s, t in _windows(checkpoints):
+        m, se = _mean_se(E[:, rec.checkpoint_index(t)] - E[:, rec.checkpoint_index(s)])
+        rep.add(f"incE{n}@({s:g},{t:g})", m, se, -np.inf,
+                4.0 * se + e_inc.get((n, s, t), 0.0))
+    return rep
 
 
 # -- Doob-type maximal inequality --------------------------------------------------
@@ -301,7 +278,6 @@ def test_doob(rec: EnsembleRecord, n: int, interval, lam_grid,
     theta = E^n splits into the increasing part alpha (norm plus dissipation)
     and the non-decreasing compensator beta.
     """
-    t0 = time.perf_counter()
     cfg = rec.cfg
     a, b = interval
     i_a, i_b = rec.checkpoint_index(a), rec.checkpoint_index(b)
@@ -317,26 +293,21 @@ def test_doob(rec: EnsembleRecord, n: int, interval, lam_grid,
     P = rec.path_ids.size
     rhs_paths = 2.0 * (theta_[:, i_a] + np.maximum(-theta_[:, i_b], 0.0) + beta[:, i_b])
     rhs, rhs_se = _mean_se(rhs_paths)
-    est, ses, bands, failures = [], [], [], []
+    rep = TestReport(
+        name, P,
+        "lam P[sup alpha >= lam] <= 2(E theta_a + E theta_b^- + E beta_b) + 4 SE",
+        dict(n_res=cfg.n, dt=cfg.dt, moment=n, interval=[a, b],
+             lam_grid=list(map(float, lam_grid)), seed=cfg.seed))
     for lam in lam_grid:
         p_hat = float((sup_alpha >= lam).mean())
         lhs = lam * p_hat
         lhs_se = lam * np.sqrt(max(p_hat * (1 - p_hat), 0.0) / P)
         se = float(np.hypot(lhs_se, rhs_se))
         label = f"lam={lam:g}"
-        est.append({"label": f"lhs[{label}]", "value": lhs})
-        est.append({"label": f"rhs[{label}]", "value": rhs})
-        ses.append({"label": label, "value": se})
-        bands.append({"label": label, "lo": -np.inf, "hi": rhs + 4.0 * se})
-        if not (lhs <= rhs + 4.0 * se):
-            failures.append(label)
-    return TestReport(
-        name=name, ensemble_size=P, estimates=est, standard_errors=ses, bands=bands,
-        threshold_rule="lam P[sup alpha >= lam] <= 2(E theta_a + E theta_b^- + E beta_b) + 4 SE",
-        verdict="pass" if not failures else "fail",
-        params=dict(n_res=cfg.n, dt=cfg.dt, moment=n, interval=[a, b],
-                    lam_grid=list(map(float, lam_grid)), seed=cfg.seed),
-        runtime_s=time.perf_counter() - t0, failures=failures)
+        rep.estimates += [{"label": f"lhs[{label}]", "value": lhs},
+                          {"label": f"rhs[{label}]", "value": rhs}]
+        rep.check(label, lhs, se, -np.inf, rhs + 4.0 * se)
+    return rep
 
 
 # -- weak-strong coincidence --------------------------------------------------------
@@ -345,7 +316,6 @@ def test_weak_strong(cfg: SimConfig, path_ids, R: float, x0=None,
                      min_crossings: int = 0,
                      name: str = "weak-strong-identity") -> TestReport:
     """Paired full/cutoff runs: bitwise identity before tau_R, equal tau_R."""
-    t0 = time.perf_counter()
     out = dyn.paired_full_cutoff(cfg, path_ids, R, x0=x0)
     tau_f, tau_c = out["tau_full"], out["tau_cutoff"]
     same_tau = np.array_equal(np.nan_to_num(tau_f, posinf=-1.0),
@@ -358,16 +328,13 @@ def test_weak_strong(cfg: SimConfig, path_ids, R: float, x0=None,
         failures.append("tau_R differs between paired runs")
     if out["crossings"] < min_crossings:
         failures.append(f"only {out['crossings']} crossings < required {min_crossings}")
-    P = len(np.atleast_1d(path_ids))
     return TestReport(
-        name=name, ensemble_size=P,
+        name, len(np.atleast_1d(path_ids)),
+        "bitwise identity up to tau_R detection; tau_R equal on every pair",
+        dict(n=cfg.n, dt=cfg.dt, scheme=cfg.scheme, R=R, seed=cfg.seed),
         estimates=[{"label": "max_discrepancy", "value": out["max_discrepancy"]},
                    {"label": "crossings", "value": float(out["crossings"])}],
-        standard_errors=[], bands=[{"label": "max_discrepancy", "lo": 0.0, "hi": 0.0}],
-        threshold_rule="bitwise identity up to tau_R detection; tau_R equal on every pair",
-        verdict="pass" if not failures else "fail",
-        params=dict(n=cfg.n, dt=cfg.dt, scheme=cfg.scheme, R=R, seed=cfg.seed),
-        runtime_s=time.perf_counter() - t0, failures=failures)
+        bands=[{"label": "max_discrepancy", "lo": 0.0, "hi": 0.0}], failures=failures)
 
 
 # -- gradient probe ------------------------------------------------------------------
@@ -406,7 +373,6 @@ def bel_gradient_probe(cfg: SimConfig, x: SpectralField, h: SpectralField, psi,
     """
     if cfg.t_end <= 0:
         raise ValueError("probe horizon must be positive")
-    t0 = time.perf_counter()
     out = dyn.run_tangent_ensemble(cfg, x.coeffs, h.coeffs, path_ids)
     vals = psi(out["final"]) * out["bel_sum"] / out["n_steps"]
     bel, bel_se = _mean_se(vals)
@@ -422,17 +388,14 @@ def bel_gradient_probe(cfg: SimConfig, x: SpectralField, h: SpectralField, psi,
     gap = abs(bel - fd)
     failures = [] if gap <= 4.0 * se else [f"BEL vs FD gap {gap:.3e} > 4 SE {4*se:.3e}"]
     return TestReport(
-        name=name, ensemble_size=len(np.atleast_1d(path_ids)),
+        name, len(np.atleast_1d(path_ids)),
+        "|BEL - FD(CRN)| <= 4 sqrt(SE_bel^2 + SE_fd^2)",
+        dict(n=cfg.n, dt=cfg.dt, t=cfg.t_end, scheme=cfg.scheme, R=cfg.r,
+             eps=fd_eps, psi=getattr(psi, "kind", "?"), seed=cfg.seed),
         estimates=[{"label": "bel", "value": bel}, {"label": "fd", "value": fd},
                    {"label": "gap", "value": gap}],
-        standard_errors=[{"label": "bel", "value": bel_se},
-                         {"label": "fd", "value": fd_se}],
-        bands=[{"label": "gap", "lo": 0.0, "hi": 4.0 * se}],
-        threshold_rule="|BEL - FD(CRN)| <= 4 sqrt(SE_bel^2 + SE_fd^2)",
-        verdict="pass" if not failures else "fail",
-        params=dict(n=cfg.n, dt=cfg.dt, t=cfg.t_end, scheme=cfg.scheme, R=cfg.r,
-                    eps=fd_eps, psi=getattr(psi, "kind", "?"), seed=cfg.seed),
-        runtime_s=time.perf_counter() - t0, failures=failures)
+        standard_errors=[{"label": "bel", "value": bel_se}, {"label": "fd", "value": fd_se}],
+        bands=[{"label": "gap", "lo": 0.0, "hi": 4.0 * se}], failures=failures)
 
 
 # -- inequality sweeps ----------------------------------------------------------------

@@ -189,3 +189,38 @@ def test_every_config_key_is_read():
             which = node.args[1].value
             read |= {f"{which}_seed", f"{which}_amplitude", f"{which}_exponent"}
     assert sorted(set(cli._KEYS) - read) == []
+
+
+TINY = {  # subcommand: (seeds, config), each small enough to run in about a second
+    "simulate": ("0..1", SIM_CFG),
+    "verify-mp2": ("0..49", TestVerifyCli.MP2.replace("control_paths = 300", "control_paths = 20")
+                   + "pilot_paths = 10\n"),
+    "verify-energy": ("0..49", "resolution = 3\nscheme = expo-em\nq0 = 30.0\nhorizon = 0.008\n"
+                      "moment = 2\n"),
+    "verify-doob": ("0..49", "resolution = 3\nscheme = expo-em\nq0 = 30.0\nhorizon = 0.008\n"),
+    "verify-weak-strong": ("0..3", "resolution = 3\nscheme = expo-em\nq0 = 60.0\n"
+                           "horizon = 0.01\nweak_strong_r = 10.0\n"),
+    "bel-probe": ("0..0", "resolution = 3\nscheme = expo-em\ndt = 5e-3\nhorizon = 0.01\n"
+                  "bel_paths = 20\nfd_paths = 20\n"),
+    "sweep-inequalities": ("0..0", "resolutions = 3,4\ntrials = 2\nfit_m2 = 0\n"),
+    "control-steer": ("0..0", "resolution = 3\nscheme = em\ndt = 2e-4\ncontrol_t = 0.002\n"),
+    "select-demo": ("0..0", "demo_horizon = 25.0\ndemo_dt = 0.01\ns_span = 2.0\ns_count = 5\n"),
+}
+
+
+def test_manifest_lists_every_artifact(tmp_path):
+    runs = []
+    for sub, (seeds, text) in TINY.items():
+        cli.main([sub, "--config", write_cfg(tmp_path, text, f"{sub}.cfg"),
+                  "--seeds", seeds, "--out", str(tmp_path / "o")])
+        runs.append(next((tmp_path / "o").glob(f"{sub}-*")))
+    cli.main(["report", *(str(r / "manifest.json") for r in runs), "--out", str(tmp_path / "o")])
+    runs.append(next((tmp_path / "o").glob("report-*")))
+    assert sorted(r.name.rsplit("-", 1)[0] for r in runs) == sorted(cli.SUBCOMMANDS)
+    unlisted = {}
+    for run in runs:
+        listed = sorted(json.loads((run / "manifest.json").read_text())["artifacts"].values())
+        written = sorted(f.name for f in run.iterdir() if f.name != "manifest.json")
+        if listed != written:
+            unlisted[run.name] = sorted(set(written) - set(listed))
+    assert unlisted == {}

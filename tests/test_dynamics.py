@@ -347,6 +347,26 @@ class TestControl:
             dyn.build_control(big, big, cfg.t_end, 60.0, cfg)
 
 
+    @pytest.mark.parametrize("nu, exit_step", [(0.01, 80), (0.001, 78)])
+    def test_free_leg_hands_over_halfway_to_the_ball_exit(self, nu, exit_step):
+        # from |x|_W^2 = 0.4995 R the free drift leaves the W-ball at step
+        # exit_step + 1, before S // 2 = 100; the leg keeps half the steps inside
+        R = 1e9
+        cfg = dyn.SimConfig(n=4, dt=1e-5, t_end=2e-3, scheme="em", mode="cutoff", r=R,
+                            alpha0=0.25, nu=nu, q0=1.0, seed=0)
+        x = sp.random_divfree_field(4, sp.powerlaw_profile(1.0), 0)
+        x = x * np.sqrt(0.4995 * R / sp.sobolev_norm_sq(x.coeffs, x.table.lam, sp.theta(0.25)))
+        _, y = self._fields()
+        _, designed, info = dyn.build_control(x, y, cfg.t_end, R, cfg)
+        free = [x]
+        for _ in range(exit_step + 1):
+            free.append(dyn.step(free[-1], cfg))
+        w2 = [sp.sobolev_norm_sq(u.coeffs, u.table.lam, sp.theta(0.25)) for u in free]
+        assert max(w2[:-1]) <= R < w2[-1]
+        t_star = exit_step // 2
+        assert round(info["t_star"] / cfg.dt) == t_star
+        assert np.array_equal(designed[:t_star + 1], [u.coeffs for u in free[:t_star + 1]])
+
 class TestEnsembleMachinery:
     def test_worker_count_invariance(self):
         cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme="em", mode="full",

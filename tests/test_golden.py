@@ -206,3 +206,32 @@ def test_cli_simulate_artifacts(tmp_path):
         h.update(f.read_bytes())
     assert h.hexdigest() == (
         "aa2bf5b12e0e1987e298f1728bd7cb07473ac313d1a009453084a49563f565ca")
+
+
+REPORT_RUNS = (  # (subcommand, seeds, config lines on top of an N=3 expo-em base)
+    ("verify-mp2", "0..199", "dt = 1e-3\nhorizon = 0.008\nseed = 4123\n"
+     "checkpoints = 0.002,0.004,0.006,0.008\ncontrol_paths = 100\npilot_paths = 40\n"),
+    ("verify-energy", "0..199", "dt = 1e-3\nhorizon = 0.008\nseed = 4124\nmoment = 2\n"
+     "pilot_paths = 40\n"),
+    ("verify-doob", "0..199", "dt = 1e-3\nhorizon = 0.008\nseed = 4125\n"),
+    ("verify-weak-strong", "0..19", "dt = 1e-3\nhorizon = 0.02\nq0 = 60.0\nseed = 4126\n"
+     "weak_strong_r = 10.0\n"),
+    ("bel-probe", "0..0", "dt = 5e-3\nhorizon = 0.02\nseed = 4127\nmode = cutoff\n"
+     "cutoff_r = 600.0\nbel_paths = 200\nfd_paths = 100\n"),
+)
+
+
+def test_cli_report_artifacts(tmp_path):
+    # every banded report the command line writes, estimates to verdict
+    h = hashlib.sha256()
+    for sub, seeds, text in REPORT_RUNS:
+        cfgp = tmp_path / f"{sub}.cfg"
+        cfgp.write_text("resolution = 3\nscheme = expo-em\nalpha0 = 0.75\nq0 = 30.0\n" + text)
+        assert cli.main([sub, "--config", str(cfgp), "--seeds", seeds,
+                         "--out", str(tmp_path / "out")]) == 0
+        run_dir = next((tmp_path / "out").glob(f"{sub}-*"))
+        for f in sorted(run_dir.glob("report*.json")):
+            h.update(f"{sub}/{f.name}".encode())
+            h.update(f.read_bytes())
+    assert h.hexdigest() == (
+        "0c20c57b73bb9b06f1379d75a4aab446695abe4b1e4f7b6ade2b3157f52a5115")

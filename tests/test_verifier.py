@@ -243,6 +243,41 @@ class TestReportDeterminism:
         assert r1.to_json_dict() == r2.to_json_dict()
 
 
+class TestBandRule:
+    """Every banded sub-test fails unless lo <= estimate <= hi, so NaN fails."""
+
+    def test_nan_fails_every_band_it_reaches(self):
+        from dataclasses import replace as dc_replace
+        cfg = dyn.SimConfig(n=3, dt=1e-3, t_end=0.012, scheme="expo-em", mode="full",
+                            alpha0=0.75, q0=30.0, seed=224)
+        cov = cfg.covariance()
+        phis = [_phi(3, cov), _phi(3, cov, k=(0, 1, 1), name="phi2")]
+        rec = dyn.run_ensemble(cfg, np.arange(200), phis=phis)
+        i = rec.checkpoint_index(0.006)
+        mphi, h2 = rec.mphi.copy(), rec.h2.copy()
+        mphi[0, 3, i] = np.nan   # phi1 on one path
+        h2[3, i] = np.nan
+        bad = dc_replace(rec, mphi=mphi, h2=h2)
+        # phi1's windows on either side of 0.006 see the NaN increment, and the
+        # window starting there sees the NaN H2 of every phi
+        cases = [
+            (lambda r: vf.test_mp2_martingale(r, phis, CPS, cov),
+             {"mean[phi1@t=0.006]", "varratio[phi1@t=0.006]",
+              "corr[phi1,H2@(0.003,0.006)]", "corr[phi1,proj@(0.003,0.006)]",
+              "corr[phi1,H2@(0.006,0.009)]", "corr[phi1,proj@(0.006,0.009)]",
+              "corr[phi2,H2@(0.006,0.009)]"}),
+            (lambda r: vf.test_energy_supermartingale(r, 1, CPS),
+             {"meanE1@t=0.006", "incE1@(0.003,0.006)", "incE1@(0.006,0.009)"}),
+            (lambda r: vf.test_energy_supermartingale(r, 2, CPS),
+             {"incE2@(0.003,0.006)", "incE2@(0.006,0.009)"}),
+        ]
+        for run, labels in cases:
+            clean, broken = run(rec), run(bad)
+            assert not labels & set(clean.failures), labels
+            assert set(broken.failures) == set(clean.failures) | labels, labels
+            assert broken.verdict == "fail"
+
+
 class TestNegativeControls:
     """Every statistical test ships a corruption that must fail."""
 
