@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import noise as noise_mod
-from .nonlinearity import b_self_batch, dealias_grid
+from .nonlinearity import b_self_batch, dealias_grid, map_tiles, tile_paths
 # perfbench/spans.py wraps dynamics.b_linpair_batch by name; nothing here calls it
 from .nonlinearity import b_linpair_batch  # noqa: F401
 from .noise import CovarianceSpec, build_covariance, ou_decay, ou_variance
@@ -266,6 +266,8 @@ class Scheme:
         self.tab = mode_table(cfg.n)
         self.cov = cfg.covariance()
         self.grid = dealias_grid(cfg.n, cfg.pad_factor)
+        self.tab.pad_layout(self.grid)   # built once here, read by every tile thread
+        self.tile = tile_paths(6, self.grid, real.itemsize)   # paths per B(u, u) tile
         self.lam = self.tab.lam.astype(real)
         # W-norms are summed in double whatever the state's precision
         self.w_w = self.tab.lam ** (2.0 * theta(cfg.alpha0))
@@ -279,30 +281,32 @@ class Scheme:
             return None
         return np.asarray(chi_r(w2, self.cfg.r), dtype=np.float64)
 
-    def advance(self, u: np.ndarray, b: np.ndarray | None, chi=None, g=None) -> np.ndarray:
+    def advance(self, u: np.ndarray, b: np.ndarray | None, chi=None, g=None,
+                out: np.ndarray | None = None) -> np.ndarray:
         """One step of the (P, K, 3) batch u with advection b, weighted per path
         by chi when given, plus the noise increment g when given.
 
         b None is the Stokes step.  A missing g adds nothing, so no -0 turns
-        into +0.  The step is built in one fresh output array, operation by
-        operation in the order of u - dt (nu lam u + chi b) (em) and
-        decay (u - dt chi b) (expo-em), so its bytes are those of the plain
-        expression; only the em step with chi forms chi b in a temporary.
+        into +0.  The step is built in one output array (fresh, or `out`,
+        which must not overlap u, b or g), operation by operation in the order
+        of u - dt (nu lam u + chi b) (em) and decay (u - dt chi b) (expo-em),
+        so its bytes are those of the plain expression; only the em step with
+        chi forms chi b in a temporary.
         """
         dt = self.cfg.dt
         if self.decay is None:
-            out = np.multiply(self.cfg.nu * self.lam[None, :, None], u)
+            out = np.multiply(self.cfg.nu * self.lam[None, :, None], u, out=out)
             if b is not None:
                 np.add(out, b if chi is None else chi[:, None, None] * b, out=out)
             np.multiply(dt, out, out=out)
             np.subtract(u, out, out=out)
         elif b is None:
-            out = np.multiply(self.decay[None, :, None], u)
+            out = np.multiply(self.decay[None, :, None], u, out=out)
         else:
             if chi is None:
-                out = np.multiply(dt, b)
+                out = np.multiply(dt, b, out=out)
             else:
-                out = np.multiply(chi[:, None, None], b)
+                out = np.multiply(chi[:, None, None], b, out=out)
                 np.multiply(dt, out, out=out)
             np.subtract(u, out, out=out)
             np.multiply(self.decay[None, :, None], out, out=out)
@@ -330,9 +334,11 @@ class Scheme:
         chi = np.asarray(chi_r(w2, self.cfg.r), dtype=real)
         chip = np.asarray(chi_r_prime(w2, self.cfg.r), dtype=real)
         lin = chi[:, None, None] * lin
-        if np.any(chip != 0.0):
-            wpair = 2.0 * np.real(np.einsum("pkj,pkj,k->p", u, np.conj(y), self.w_pair))
-            lin = lin + (2.0 * chip * wpair).astype(real)[:, None, None] * b
+        band = chip != 0.0   # rows in the transition band; elsewhere the term is 0
+        if band.any():
+            wpair = 2.0 * np.real(np.einsum("pkj,pkj,k->p", u[band], np.conj(y[band]),
+                                            self.w_pair))
+            lin[band] += (2.0 * chip[band] * wpair).astype(real)[:, None, None] * b[band]
         return chi[:, None, None] * b, lin
 
 
@@ -385,6 +391,16 @@ def _x0_block(x0, sl: slice, total: int):
 
 def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
                keep_final: bool, keep_series: bool) -> dict:
+    """Integrate the paths `ids` one scheme step at a time.
+
+    Each step is one map_tiles pass over B-sized path tiles: a tile runs B,
+    its noise, the step, the M^phi increments, the blow-up census and the
+    norms and <u, phi> of its new states, writing only its own rows.  So
+    only u and one u_next live at full size, swapped each step.  Without B
+    the tiles run in order on this thread: a Stokes step is per-path noise
+    draws and small array operations that hold the GIL, and tile threads
+    would only hand it back and forth.
+    """
     sch = Scheme(cfg, np.complex128)
     S = cfg.n_steps
     P, K = ids.size, sch.tab.n_modes
@@ -393,6 +409,7 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
     u = np.zeros((P, K, 3), dtype=np.complex128)
     if x0 is not None:
         u[:] = x0
+    u_next = np.empty_like(u)
 
     h2 = np.empty((P, S + 1)); v2 = np.empty((P, S + 1)); w2 = np.empty((P, S + 1))
     int_v2 = np.zeros((P, S + 1))
@@ -407,40 +424,46 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
     series = np.empty((P, S + 1, K, 3), dtype=np.complex128) if keep_series else None
 
     use_b = cfg.mode != "stokes"
-    for s in range(S + 1):
-        h2[:, s], v2[:, s], w2[:, s] = _norm_sq(u, None, sch.lam, sch.w_w)
-        if n_phi:
-            for j, phi in enumerate(phis):
-                proj[j, :, s] = pair_with(u, phi.coeffs)
+    tile = sch.tile
+
+    def record(rows: slice, v: np.ndarray, s: int) -> None:
+        h2[rows, s], v2[rows, s], w2[rows, s] = _norm_sq(v, None, sch.lam, sch.w_w)
+        for j, phi in enumerate(phis):
+            proj[j, rows, s] = pair_with(v, phi.coeffs)
         if keep_series:
-            series[:, s] = u
-        if s == S:
-            break
+            series[rows, s] = v
+
+    def step_tile(lo: int) -> None:   # step s of the rows lo:lo+tile
+        rows = slice(lo, lo + tile)
+        ut, un = u[rows], u_next[rows]
+        b = b_self_batch(ut, sch.tab, sch.grid) if use_b else None
+        g = _noise_block(cfg, sch.cov, ids[rows], s, noise_provider)
+        sch.advance(ut, b, sch.chi(w2[rows, s]), g, out=un)
+        if n_phi:
+            du = un - ut
+            for j, phi in enumerate(phis):
+                inc = (pair_with(du, phi.coeffs)
+                       + dt * nu * pair_with(ut, phi.a_coeffs))
+                if use_b:
+                    inc = inc + dt * pair_with(b, phi.coeffs)
+                mphi[j, rows, s + 1] = mphi[j, rows, s] + inc
+        fresh = ~np.isfinite(un).all(axis=(1, 2)) & ~blown[rows]
+        if fresh.any():
+            blown[rows] |= fresh
+            blow_step[rows][fresh] = s + 1
+            un[fresh] = np.nan
+        record(rows, un, s + 1)
+
+    map_tiles(lambda lo: record(slice(lo, lo + tile), u[lo:lo + tile], 0), P, tile, use_b)
+    for s in range(S):
         # left-endpoint quadrature of the running integrals
         int_v2[:, s + 1] = int_v2[:, s] + dt * v2[:, s]
         for n in moments:
             hp = h2[:, s] ** (n - 1)
             int_h2nm2_v2[n][:, s + 1] = int_h2nm2_v2[n][:, s] + dt * hp * v2[:, s]
             int_h2nm2[n][:, s + 1] = int_h2nm2[n][:, s] + dt * hp
-
-        b = b_self_batch(u, sch.tab, sch.grid) if use_b else None
-        g = _noise_block(cfg, sch.cov, ids, s, noise_provider)
-        u_next = sch.advance(u, b, sch.chi(w2[:, s]), g)
-        if n_phi:
-            du = u_next - u
-            for j, phi in enumerate(phis):
-                inc = (pair_with(du, phi.coeffs)
-                       + dt * nu * pair_with(u, phi.a_coeffs))
-                if use_b:
-                    inc = inc + dt * pair_with(b, phi.coeffs)
-                mphi[j, :, s + 1] = mphi[j, :, s] + inc
-        bad = ~np.isfinite(u_next).all(axis=(1, 2))
-        fresh = bad & ~blown
-        if fresh.any():
-            blown |= fresh
-            blow_step[fresh] = s + 1
-            u_next[fresh] = np.nan
-        u = u_next
+        map_tiles(step_tile, P, tile, use_b)
+        u, u_next = u_next, u
 
     out = dict(ids=ids, h2=h2, v2=v2, w2=w2, int_v2=int_v2,
                int_h2nm2_v2=int_h2nm2_v2, int_h2nm2=int_h2nm2,
@@ -568,14 +591,18 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
 
     Both members step through the same Scheme with the same noise; while
     |u|_W^2 <= R+1 the cutoff factor is exactly 1.0 and the two states must
-    agree bit for bit.  B is evaluated once per distinct state: one
-    b_self_batch call on the full states and the cutoff rows apart from
-    them, and a cutoff row equal to its full row (== also equates -0 and
-    +0, which move no nonzero bit of B) takes the full row's B.  Each
-    path's B depends only on its own row, so no output bit changes, but the
-    members' B are no longer two separate calls on equal rows.  B's
-    determinism across calls is guarded by the determinism audit
-    (criterion 11), TestPathTiling (tests/test_nonlinearity.py) and
+    agree bit for bit.  Each step is one map_tiles pass over B-sized path
+    tiles, and no work is done twice for a row the members share:
+    - B runs once per distinct state: one b_self_batch call on a tile's full
+      states and its cutoff rows apart from them.  A cutoff row equal to its
+      full row (== also equates -0 and +0, which move no nonzero bit of B)
+      takes the full row's B.
+    - A cutoff row with the full row's bytes takes the full row's W-norm,
+      and with chi exactly 1.0 also its stepped row.  1.0 b is b up to the
+      sign of a zero, and adding the noise (never -0) leaves no zero signed.
+    Each path's arithmetic depends only on its own row, so no output bit
+    changes.  B's determinism across calls is guarded by the determinism
+    audit (criterion 11), TestPathTiling (tests/test_nonlinearity.py) and
     test_paired_run_is_two_engine_runs (tests/test_dynamics.py), which
     checks each member against its own run_ensemble run.
 
@@ -599,37 +626,61 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
     uc = uf.copy()
     if x0_cutoff is not None:
         uc[:] = x0_cutoff
+    uf_next, uc_next = np.empty_like(uf), np.empty_like(uc)
     w2f = np.empty((P, S + 1)); w2c = np.empty((P, S + 1))
     detected = np.full(P, S + 1, dtype=np.int64)  # step index of tau detection
     mismatch = np.zeros(P, dtype=np.int64)
-    max_disc = 0.0
+    disc = np.zeros(P)                            # per-path max discrepancy
+    same = np.empty(P, dtype=bool)                # cutoff row has the full row's bytes
+    apart = np.empty(P, dtype=bool)               # cutoff row != full row
+    tile = sch.tile
 
-    for s in range(S + 1):
-        w2f[:, s] = _norm_sq(uf, sch.w_w)
-        w2c[:, s] = _norm_sq(uc, sch.w_w)
-        hit = (w2c[:, s] >= R) & (detected > S)
-        detected[hit] = s
-        apart = ~(uf == uc).all(axis=(1, 2))
-        bad = apart & (detected >= s)  # up to and including the detection step
+    def record(rows: slice, f: np.ndarray, c: np.ndarray, s: int) -> None:
+        w2f[rows, s] = _norm_sq(f, sch.w_w)
+        eq = (f.view(np.int64) == c.view(np.int64)).all(axis=(1, 2))   # bytes, not ==
+        same[rows] = eq
+        w2c[rows, s] = w2f[rows, s]
+        if not eq.all():
+            w2c[rows, s][~eq] = _norm_sq(c[~eq], sch.w_w)
+        hit = (w2c[rows, s] >= R) & (detected[rows] > S)
+        detected[rows][hit] = s
+        ap = ~(f == c).all(axis=(1, 2))
+        apart[rows] = ap
+        bad = ap & (detected[rows] >= s)  # up to and including the detection step
         if bad.any():
-            mismatch[bad] += 1
-            disc = float(np.abs(uf[bad] - uc[bad]).max())
-            max_disc = max(max_disc, disc if np.isfinite(disc) else np.inf)
-        if s == S:
-            break
-        g = _noise_block(full_cfg, sch.cov, path_ids, s)
-        b = b_self_batch(np.concatenate([uf, uc[apart]]), sch.tab, sch.grid)
-        bf = b[:P]
-        bc = bf.copy()
-        bc[apart] = b[P:]
-        uf = sch.advance(uf, bf, None, g)
-        uc = sch.advance(uc, bc, np.asarray(chi_r(w2c[:, s], R)), g)
+            mismatch[rows][bad] += 1
+            d = np.abs(f[bad] - c[bad]).max(axis=(1, 2))
+            d[~np.isfinite(d)] = np.inf
+            disc[rows][bad] = np.maximum(disc[rows][bad], d)
+
+    def step_tile(lo: int) -> None:   # step s of the rows lo:lo+tile
+        rows = slice(lo, lo + tile)
+        f, c, fn, cn = uf[rows], uc[rows], uf_next[rows], uc_next[rows]
+        ap = apart[rows]
+        g = _noise_block(full_cfg, sch.cov, path_ids[rows], s)
+        b = b_self_batch(np.concatenate([f, c[ap]]), sch.tab, sch.grid)
+        sch.advance(f, b[:len(f)], None, g, out=fn)
+        chi = np.asarray(chi_r(w2c[rows, s], R))
+        own = ~(same[rows] & (chi == 1.0))
+        cn[~own] = fn[~own]
+        if own.any():
+            bc = b[:len(f)].copy()
+            bc[ap] = b[len(f):]
+            cn[own] = sch.advance(c[own], bc[own], chi[own], g[own])
+        record(rows, fn, cn, s + 1)
+
+    map_tiles(lambda lo: record(slice(lo, lo + tile), uf[lo:lo + tile], uc[lo:lo + tile], 0),
+              P, tile)
+    for s in range(S):
+        map_tiles(step_tile, P, tile)
+        uf, uf_next = uf_next, uf
+        uc, uc_next = uc_next, uc
 
     times = np.arange(S + 1) * cfg.dt
     tau_f = stopping_time_tau_r_series(w2f, times, R)
     tau_c = stopping_time_tau_r_series(w2c, times, R)
     return dict(times=times, tau_full=tau_f, tau_cutoff=tau_c,
-                mismatch_steps=mismatch, max_discrepancy=max_disc,
+                mismatch_steps=mismatch, max_discrepancy=float(disc.max(initial=0.0)),
                 crossings=int(np.isfinite(tau_c).sum()),
                 w2_full=w2f, w2_cutoff=w2c)
 
@@ -704,10 +755,13 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
                              + frac[:, None, None] * y.coeffs[None])
     designed[S] = y.coeffs
 
+    # leg two's residuals, one drift call per B tile of designed states: a
+    # single call on all of them would run on the tile pool, whose threads'
+    # malloc arenas then stay resident (+8% peak RSS at N=8)
     w_inc = np.zeros((S, n_modes, 3), dtype=np.complex128)
-    for s in range(t_star_idx, S):
-        free = _euler_drift(sch, designed[None, s], None)
-        w_inc[s] = designed[s + 1] - free[0]
+    for lo in range(t_star_idx, S, sch.tile):
+        hi = min(lo + sch.tile, S)
+        w_inc[lo:hi] = designed[lo + 1:hi + 1] - _euler_drift(sch, designed[lo:hi], None)
     sup_w2 = float(_norm_sq(designed, w_w).max())
     if sup_w2 > R * (1.0 + 1e-12):
         raise ControlError(f"designed path leaves the W-ball: sup |u|_W^2 = {sup_w2:.3g} > {R}")
@@ -745,9 +799,10 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
     """Final states u, final tangents y = Du h and BEL sums of the paths `ids`.
 
     u follows the engine's path bit for bit and y the exact Jacobian of its
-    steps, with chi' in cutoff mode.  Single precision trades ~1e-7 relative
-    state error (far below any Monte-Carlo standard error) for about 1.6x
-    throughput.
+    steps, with chi' in cutoff mode.  Each step is one map_tiles pass over
+    the B pair's path tiles, each tile stepping its own rows into the next
+    buffers.  Single precision trades ~1e-7 relative state error (far below
+    any Monte-Carlo standard error) for about 1.6x throughput.
     """
     cdtype = np.complex64 if precision == "single" else np.complex128
     sch = Scheme(cfg, cdtype)
@@ -755,13 +810,23 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
     P = ids.size
     u = np.broadcast_to(x, (P,) + x.shape).astype(cdtype).copy()
     y = np.broadcast_to(h, (P,) + h.shape).astype(cdtype).copy()
+    u_next, y_next = np.empty_like(u), np.empty_like(y)
     acc = np.zeros(P)
+    tile = tile_paths(12, sch.grid, sch.lam.itemsize)
+
+    def step_tile(lo: int) -> None:   # step s of the rows lo:lo+tile
+        rows = slice(lo, lo + tile)
+        b, lin = sch.tangent(u[rows], y[rows])
+        g = _noise_block(cfg, sch.cov, ids[rows], s).astype(cdtype, copy=False)
+        sch.advance(u[rows], b, None, g, out=u_next[rows])
+        yn = sch.advance(y[rows], lin, out=y_next[rows])
+        acc[rows] += 2.0 * np.real(
+            np.einsum("pkj,pkj,k->p", yn, np.conj(g), inv_var)).astype(np.float64)
+
     for s in range(cfg.n_steps):
-        b, lin = sch.tangent(u, y)
-        g = _noise_block(cfg, sch.cov, ids, s).astype(cdtype, copy=False)
-        u = sch.advance(u, b, None, g)
-        y = sch.advance(y, lin)
-        acc += 2.0 * np.real(np.einsum("pkj,pkj,k->p", y, np.conj(g), inv_var)).astype(np.float64)
+        map_tiles(step_tile, P, tile, cfg.mode != "stokes")   # as in _run_chunk
+        u, u_next = u_next, u
+        y, y_next = y_next, y
     return u, y, acc
 
 

@@ -13,13 +13,14 @@ The pseudo-spectral kernels keep spectra in the dense (2N+1, 2N+1, N+1)
 rfft half-block and run padded transforms pruned to its non-zero lines
 (Bowman and Roberts, SIAM J. Sci. Comput. 33, 2011), with the bytes of the
 full-cube transforms.  Batches of paths run in cache-sized tiles on a thread
-pool that the noise block shares.
+pool that the noise block and the ensemble steppers share.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,13 +40,15 @@ class PaddingError(ValueError):
     """Configured padding factor cannot dealias the quadratic product."""
 
 
-#: threads per B kernel call and noise block (-1: all cores, as in scipy.fft):
-#: batches larger than one tile run their path tiles on this many threads,
-#: smaller B batches hand it to the FFT calls; the noise block draws and
-#: assembles its path tiles on the same threads.  Worker pools set it to 1 in
-#: children to avoid oversubscription.  Output bytes depend on neither this
-#: setting nor the tile size, because every path's arithmetic touches only its
-#: own slice.
+#: threads per top-level tiled call (-1: all cores, as in scipy.fft): the
+#: ensemble steppers run each scheme step with B, and the B kernels and the
+#: noise block each batch larger than one tile, as path tiles on this many
+#: threads; smaller B batches hand it to the FFT calls.  A call made from a
+#: tile-pool thread runs its tiles inline with one FFT thread, so a stepper's
+#: tile can call the kernels without waiting on its own pool or
+#: oversubscribing the FFTs.  Worker pools set it to 1 in children to avoid
+#: oversubscription.  Output bytes depend on neither this setting nor the
+#: tile size, because every path's arithmetic touches only its own slice.
 FFT_WORKERS = -1
 
 #: cache budget for one tile's pointwise products; the tile size follows from
@@ -53,6 +56,14 @@ FFT_WORKERS = -1
 TILE_BYTES = 3 << 20
 
 _tile_pool_by_pid: tuple | None = None   # (pid, threads, executor)
+
+
+class _ThreadState(threading.local):
+    in_pool = False   # set by the tile pool's initializer on its threads
+    prods = None      # this thread's TILE_BYTES products buffer, made on first use
+
+
+_thread = _ThreadState()
 
 
 def set_fft_workers(n: int) -> None:
@@ -229,6 +240,15 @@ def tile_paths(n_products: int, grid: int, itemsize: int) -> int:
     return tile_rows(n_products * grid**3 * itemsize)
 
 
+def _mark_pool_thread() -> None:
+    _thread.in_pool = True
+
+
+def _workers_here() -> int:
+    """FFT_WORKERS, or 1 on a tile-pool thread, where nested calls run inline."""
+    return 1 if _thread.in_pool else FFT_WORKERS
+
+
 def _tile_pool(threads: int) -> ThreadPoolExecutor:
     """This process's tile pool; a forked child never reuses its parent's."""
     global _tile_pool_by_pid
@@ -236,20 +256,21 @@ def _tile_pool(threads: int) -> ThreadPoolExecutor:
     if _tile_pool_by_pid is None or _tile_pool_by_pid[:2] != key:
         if _tile_pool_by_pid is not None and _tile_pool_by_pid[0] == key[0]:
             _tile_pool_by_pid[2].shutdown(wait=False)
-        _tile_pool_by_pid = key + (ThreadPoolExecutor(threads),)
+        _tile_pool_by_pid = key + (ThreadPoolExecutor(threads, initializer=_mark_pool_thread),)
     return _tile_pool_by_pid[2]
 
 
-def map_tiles(run, total: int, tile: int) -> None:
+def map_tiles(run, total: int, tile: int, threaded: bool = True) -> None:
     """Call run(lo) for lo = 0, tile, 2 tile, ... < total on FFT_WORKERS threads.
 
     Each call must write only its own slice of the outputs; the calls run in
-    order when one thread is asked for.
+    order on the calling thread when one thread is asked for, when not
+    `threaded`, or when called from a tile-pool thread.
     """
     starts = range(0, total, tile)
-    workers = FFT_WORKERS
+    workers = _workers_here()
     threads = workers if workers > 0 else (os.cpu_count() or 1) + 1 + workers
-    if threads > 1 and len(starts) > 1:
+    if threaded and threads > 1 and len(starts) > 1:
         list(_tile_pool(threads).map(run, starts))
     else:
         for lo in starts:
@@ -261,16 +282,16 @@ def _path_tiled(uc: np.ndarray, yc: np.ndarray | None, with_self: bool, table: M
     """Run _divergence_tile over tiles of the path axis.
 
     Batch-1 calls and batches of at most one tile run untiled with
-    FFT_WORKERS FFT threads; larger (P, K, 3) batches run their tiles on
-    FFT_WORKERS threads, each tile with single-threaded FFTs writing its own
-    slice of the outputs.
+    FFT_WORKERS FFT threads (one on a tile-pool thread); larger (P, K, 3)
+    batches run their tiles through map_tiles, each tile with single-threaded
+    FFTs writing its own slice of the outputs.
     """
     if yc is not None and yc.shape != uc.shape:
         raise ValueError(f"u and y batches differ in shape: {uc.shape} vs {yc.shape}")
     n_sets = int(with_self) + (yc is not None)
     tile = tile_paths(6 * n_sets, grid, uc.real.itemsize)
     if uc.ndim != 3 or uc.shape[0] <= tile:
-        return _divergence_tile(uc, yc, with_self, table, grid, FFT_WORKERS)
+        return _divergence_tile(uc, yc, with_self, table, grid, _workers_here())
     table.pad_layout(grid)   # fill the layout cache before the threads read it
     outs = tuple(np.empty_like(uc) for _ in range(n_sets))
 
@@ -286,6 +307,25 @@ def _path_tiled(uc: np.ndarray, yc: np.ndarray | None, with_self: bool, table: M
 
 # -- divergence-form kernel -----------------------------------------------------
 
+def _products_buffer(shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised products array: a view of this thread's buffer when it
+    fits in TILE_BYTES (every tile of a tiled call does), else a fresh array.
+
+    glibc trims its heap back to the OS whenever the free memory on top
+    reaches twice the largest chunk it has handed out by mmap and got back.
+    In a process that never freed a larger chunk, a tile whose fresh arrays
+    add up to more than that would fault all of them back in on every tile;
+    a kept products buffer and the early free of the physical grids keep the
+    rest under it.
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes > TILE_BYTES:
+        return np.empty(shape, dtype=dtype)
+    if _thread.prods is None:
+        _thread.prods = np.empty(TILE_BYTES, dtype=np.uint8)
+    return _thread.prods[:nbytes].view(dtype).reshape(shape)
+
+
 def _divergence_tile(uc, yc, with_self, table, grid, workers):
     """B(u, u) when with_self, then B(y, u) + B(u, y) when y is given.
 
@@ -300,7 +340,8 @@ def _divergence_tile(uc, yc, with_self, table, grid, workers):
     up = phys[..., 0, :, :, :, :]
     lead, cube = uc.shape[:-2], phys.shape[-3:]
     n_sets = int(with_self) + (yc is not None)
-    prods = np.empty(lead + (6 * n_sets,) + cube, dtype=phys.dtype)
+    prods = _products_buffer(lead + (6 * n_sets,) + cube, phys.dtype)
+    yp = scratch = None
     if yc is not None:
         yp = phys[..., 1, :, :, :, :]
         scratch = np.empty(lead + cube, dtype=phys.dtype)
@@ -312,6 +353,9 @@ def _divergence_tile(uc, yc, with_self, table, grid, workers):
             np.multiply(up[..., a, :, :, :], yp[..., b, :, :, :], out=sym)
             np.multiply(yp[..., a, :, :, :], up[..., b, :, :, :], out=scratch)
             sym += scratch
+    # freed before the forward transform allocates, so a tile's fresh arrays
+    # stay within twice the largest of them (see _products_buffer)
+    del phys, up, yp, scratch
     p_hat = _rfft_block(prods, table.n, workers)
     p_modes = _gather_half_scalar(p_hat, table, grid) * grid**3
     return tuple(leray_project(_divergence_form_contract(p_modes[..., 6 * j:6 * j + 6, :],

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from navsto import dynamics as dyn
 from navsto import noise as ns
+from navsto import nonlinearity as nl
 from navsto import spectral as sp
+from navsto import verifier as vf
 
 
 def cfg_small(**kw):
@@ -523,27 +526,239 @@ def test_advance_matches_plain_expression(scheme, cdtype):
 
 
 def test_paired_run_evaluates_b_once_per_distinct_state(monkeypatch):
-    # equal full and cut-off rows share one B row; rows apart are evaluated on their own
+    # equal full and cut-off rows share one B row; rows apart are evaluated on
+    # their own.  A cut-off row with the full row's bytes also takes its
+    # W-norm, and with chi = 1 its stepped row.
     cfg = dyn.SimConfig(n=4, dt=5e-4, t_end=0.01, scheme="expo-em", mode="full",
                         alpha0=0.75, q0=60.0, seed=79)
     ids, S = np.arange(12), cfg.n_steps
     P = ids.size
-    rows = []
-    b_self_batch = dyn.b_self_batch
+    rows, stepped, normed = [], [], []
+    b_self_batch, advance, norm_sq = dyn.b_self_batch, dyn.Scheme.advance, dyn._norm_sq
 
     def spy(u, tab, grid):
         rows.append(u.shape[0])
         return b_self_batch(u, tab, grid)
 
+    def advance_spy(sch, u, *args, **kwargs):
+        stepped.append(u.shape[0])
+        return advance(sch, u, *args, **kwargs)
+
+    def norm_spy(coeffs, *weights):
+        normed.append(coeffs.shape[0])
+        return norm_sq(coeffs, *weights)
+
     monkeypatch.setattr(dyn, "b_self_batch", spy)
+    monkeypatch.setattr(dyn.Scheme, "advance", advance_spy)
+    monkeypatch.setattr(dyn, "_norm_sq", norm_spy)
     dyn.paired_full_cutoff(cfg, ids, R=1e9)
     assert rows == [P] * S
-    rows.clear()
+    assert stepped == [P] * S and normed == [P] * (S + 1)
+    for spied in (rows, stepped, normed):
+        spied.clear()
     x = sp.random_divfree_field(4, sp.powerlaw_profile(3.0, 0.05), seed=81).coeffs
     dyn.paired_full_cutoff(cfg, ids, R=1e9, x0=x, x0_cutoff=x * (1 + 1e-12))
     assert rows == [2 * P] * S
-    rows.clear()
-    res = dyn.paired_full_cutoff(cfg, ids, R=20.0)
-    apart = (res["w2_full"] != res["w2_cutoff"])[:, :S].sum(axis=0)
+    assert stepped == [P, P] * S and normed == [P, P] * (S + 1)
+    for spied in (rows, stepped, normed):
+        spied.clear()
+    R = 20.0
+    res = dyn.paired_full_cutoff(cfg, ids, R=R)
+    apart = (res["w2_full"] != res["w2_cutoff"]).sum(axis=0)
+    own = ((res["w2_full"] != res["w2_cutoff"]) | (dyn.chi_r(res["w2_cutoff"], R) < 1.0))
+    own = own[:, :S].sum(axis=0)
     assert apart[0] == 0 and apart[-1] > 0   # shared at first, apart after crossings
-    assert rows == (P + apart).tolist()
+    assert own[0] == 0 and (own > apart[:S]).any()   # chi < 1 before the states part
+    assert rows == (P + apart[:S]).tolist()
+    assert stepped == [n for k in own for n in (P, k) if n]
+    assert normed == [n for k in apart for n in (P, k) if n]
+
+
+# -- tiled steppers: several tiles plus a ragged one, against per-path runs ------
+
+WORKER_SETTINGS = (-1, 1, 5)   # all cores, serial, more threads than cores
+N_TILED = 4
+TILE = nl.tile_paths(6, nl.dealias_grid(N_TILED), 8)   # 23; the float32 pair's too
+P_TILED = 2 * TILE + 4
+
+
+def tiled_phis(cfg):
+    cov = cfg.covariance()
+    out = []
+    for k, name in (((1, 0, 0), "phi1"), ((0, 1, 1), "phi2")):
+        f = single_mode_field(cfg.n, k, cov.table.pol[cov.table.index_of(k), 0])
+        out.append(vf.TestFunction.build(f, cov, name))
+    return out
+
+
+def tiled_starts(w2_lo, w2_hi, alpha0):
+    """P_TILED start fields whose |x|_W^2 run evenly from w2_lo to w2_hi."""
+    tab = sp.mode_table(N_TILED)
+    out = []
+    for i, w2 in enumerate(np.linspace(w2_lo, w2_hi, P_TILED)):
+        x = sp.random_divfree_field(N_TILED, sp.powerlaw_profile(3.0), seed=600 + i).coeffs
+        out.append(x * np.sqrt(w2 / sp.sobolev_norm_sq(x, tab.lam, sp.theta(alpha0))))
+    return np.array(out)
+
+
+def ensemble_case(name):
+    """(cfg, x0, run_ensemble keywords) of one tiled-ensemble case."""
+    base = dict(n=N_TILED, alpha0=0.25, q0=30.0, seed=610)
+    if name == "expo-em-series":
+        cfg = dyn.SimConfig(dt=0.01, t_end=0.03, scheme="expo-em", **base)
+        return cfg, tiled_starts(1.0, 60.0, 0.25), dict(keep_series=True)
+    if name == "em-cutoff":   # starts across the chi band [R+1, R+2] and beyond
+        cfg = dyn.SimConfig(dt=2e-4, t_end=6e-4, scheme="em", mode="cutoff", r=20.0, **base)
+        return cfg, tiled_starts(18.0, 25.0, 0.25), {}
+    if name == "coupled-coarse":
+        cfg = dyn.SimConfig(dt=0.01, t_end=0.03, scheme="expo-em", **base)
+        return cfg, tiled_starts(1.0, 60.0, 0.25), dict(noise_provider="coupled-coarse")
+    if name == "stokes":   # no B: the tiles run in order on the calling thread
+        cfg = dyn.SimConfig(dt=0.01, t_end=0.03, scheme="expo-em", mode="stokes", **base)
+        return cfg, tiled_starts(1.0, 60.0, 0.25), dict(keep_series=True)
+    # one start so large that its explicit advection overflows mid-run
+    cfg = dyn.SimConfig(dt=0.01, t_end=0.05, scheme="expo-em", **base)
+    x0 = tiled_starts(1.0, 60.0, 0.25)
+    x0[BLOWN_ROW] *= 1e100
+    return cfg, x0, {}
+
+
+BLOWN_ROW = TILE + 7   # in the second tile
+ENSEMBLE_CASES = ("expo-em-series", "em-cutoff", "coupled-coarse", "blow-up", "stokes")
+
+
+def record_rows(rec):
+    """The per-path arrays of a record, path axis first, by name."""
+    out = {f: getattr(rec, f) for f in ("final", "h2", "v2", "w2", "int_v2", "series",
+                                        "blown", "blow_step")}
+    out.update({f"int_h2nm2_v2[{n}]": a for n, a in rec.int_h2nm2_v2.items()})
+    out.update({f"int_h2nm2[{n}]": a for n, a in rec.int_h2nm2.items()})
+    out.update({f"{f}[{j}]": a for f in ("mphi", "proj_phi")
+                for j, a in enumerate(getattr(rec, f))})
+    return {k: a for k, a in out.items() if a is not None}
+
+
+@pytest.fixture(scope="module")
+def per_path_ensembles():
+    """Each case run path by path, stacked: the bytes every tiling must give."""
+    out = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in ENSEMBLE_CASES:
+            cfg, x0, kw = ensemble_case(name)
+            rows = [record_rows(dyn.run_ensemble(cfg, [i], x0=x0[i], phis=tiled_phis(cfg), **kw))
+                    for i in range(P_TILED)]
+            out[name] = {k: np.concatenate([r[k] for r in rows]) for k in rows[0]}
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("workers", WORKER_SETTINGS)
+@pytest.mark.parametrize("case", ENSEMBLE_CASES)
+def test_tiled_ensemble_matches_per_path_runs(case, workers, fft_workers, per_path_ensembles):
+    cfg, x0, kw = ensemble_case(case)
+    fft_workers(workers)
+    rec = dyn.run_ensemble(cfg, np.arange(P_TILED), x0=x0, phis=tiled_phis(cfg), **kw)
+    got, expect = record_rows(rec), per_path_ensembles[case]
+    assert got.keys() == expect.keys()
+    for key, a in got.items():
+        assert a.tobytes() == expect[key].tobytes(), key
+    if case == "em-cutoff":   # some paths step with 0 < chi < 1
+        chi = dyn.chi_r(rec.w2[:, :-1], cfg.r)
+        assert ((chi > 0.0) & (chi < 1.0)).any() and (chi == 1.0).any()
+    if case == "blow-up":
+        assert rec.blown.tolist() == [i == BLOWN_ROW for i in range(P_TILED)]
+        assert 1 < rec.blow_step[BLOWN_ROW] < cfg.n_steps
+        assert np.isnan(rec.final[BLOWN_ROW]).all()
+        assert np.isfinite(np.delete(rec.h2, BLOWN_ROW, axis=0)).all()
+
+
+def paired_case(name):
+    """(cfg, paired_full_cutoff keywords); R = 31 is the median of max |u|_W^2."""
+    cfg = dyn.SimConfig(n=N_TILED, dt=1e-3, t_end=0.02, scheme="expo-em", q0=60.0, seed=611)
+    if name == "crossing":
+        return cfg, dict(R=31.0)
+    x = sp.random_divfree_field(N_TILED, sp.powerlaw_profile(3.0, 0.05), seed=612).coeffs
+    return replace(cfg, t_end=0.005), dict(R=31.0, x0=x, x0_cutoff=x * (1 + 1e-12))
+
+
+PAIRED_KEYS = ("w2_full", "w2_cutoff", "tau_full", "tau_cutoff", "mismatch_steps")
+
+
+@pytest.fixture(scope="module")
+def per_path_pairs():
+    out = {}
+    for name in ("crossing", "negative-control"):
+        cfg, kw = paired_case(name)
+        runs = [dyn.paired_full_cutoff(cfg, [i], **kw) for i in range(P_TILED)]
+        out[name] = {k: np.concatenate([r[k] for r in runs]) for k in PAIRED_KEYS}
+        out[name]["max_discrepancy"] = max(r["max_discrepancy"] for r in runs)
+    return out
+
+
+@pytest.mark.parametrize("workers", WORKER_SETTINGS)
+@pytest.mark.parametrize("case", ("crossing", "negative-control"))
+def test_tiled_pair_matches_per_path_runs(case, workers, fft_workers, per_path_pairs):
+    cfg, kw = paired_case(case)
+    fft_workers(workers)
+    res = dyn.paired_full_cutoff(cfg, np.arange(P_TILED), **kw)
+    expect = per_path_pairs[case]
+    for key in PAIRED_KEYS:
+        assert res[key].tobytes() == expect[key].tobytes(), key
+    assert res["max_discrepancy"] == expect["max_discrepancy"]
+    if case == "crossing":
+        assert 0 < res["crossings"] < P_TILED and res["max_discrepancy"] == 0.0
+    else:
+        assert (res["mismatch_steps"] > 0).all() and res["max_discrepancy"] > 0.0
+
+
+def tangent_case():
+    # x starts above the chi band; the viscous decay carries |u|_W^2 into it
+    # mid-path, on some paths of a step and not on others
+    cfg = dyn.SimConfig(n=N_TILED, dt=1e-3, t_end=4e-3, scheme="expo-em", mode="cutoff",
+                        r=170.0, alpha0=0.25, q0=30.0, seed=613)
+    x = tiled_starts(282.8, 282.8, 0.25)[0]
+    h = sp.random_divfree_field(N_TILED, sp.powerlaw_profile(3.0, 0.5), seed=614).coeffs
+    return cfg, x, h
+
+
+@pytest.fixture(scope="module")
+def per_path_tangents():
+    cfg, x, h = tangent_case()
+    runs = [dyn.run_tangent_ensemble(cfg, x, h, [i], precision="single")
+            for i in range(P_TILED)]
+    return {k: np.concatenate([r[k] for r in runs]) for k in ("final", "bel_sum")}
+
+
+@pytest.mark.parametrize("workers", WORKER_SETTINGS)
+def test_tiled_tangent_matches_per_path_runs(workers, fft_workers, per_path_tangents):
+    assert nl.tile_paths(12, nl.dealias_grid(N_TILED), 4) == TILE
+    cfg, x, h = tangent_case()
+    band = dyn.chi_r_prime(dyn.run_ensemble(cfg, np.arange(P_TILED), x0=x).w2[:, :-1],
+                           cfg.r) != 0.0
+    assert (band.any(axis=0) & ~band.all(axis=0)).any()   # chi' fires on part of a step
+    fft_workers(workers)
+    out = dyn.run_tangent_ensemble(cfg, x, h, np.arange(P_TILED), precision="single")
+    assert out["final"].dtype == np.complex64
+    for key, a in per_path_tangents.items():
+        assert out[key].tobytes() == a.tobytes(), key
+
+
+def test_ensemble_holds_two_states(fft_workers):
+    # the tiled step keeps u and u_next at full size and every other array
+    # per tile; the merged record adds the final states once more.  Each
+    # tile thread holds one tile's arrays, so the thread count is fixed at
+    # two, whatever the number of cores
+    cfg = dyn.SimConfig(n=6, dt=1e-3, t_end=2e-3, scheme="expo-em", q0=30.0, seed=615)
+    phis = [vf.TestFunction.build(single_mode_field(6, (1, 0, 0), [0, 1.0, 0]),
+                                  cfg.covariance(), "phi1")]
+    P = 1000
+    state_bytes = P * sp.mode_table(6).n_modes * 3 * 16
+    fft_workers(2)
+    dyn.run_ensemble(cfg, np.arange(2), phis=phis)   # tables and layouts outside the count
+    tracemalloc.start()
+    try:
+        dyn.run_ensemble(cfg, np.arange(P), phis=phis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * state_bytes, peak / state_bytes

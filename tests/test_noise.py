@@ -1,10 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
 from navsto import noise as ns
-from navsto import nonlinearity as nl
 from navsto import spectral as sp
 
 
@@ -145,7 +142,7 @@ class TestNoiseBlockBytes:
     DT, SEED, STEP = 2e-3, 31, 5
 
     @pytest.mark.parametrize("n", [1, 2, 4, 6, 8])
-    def test_matches_frozen_formula(self, n):
+    def test_matches_frozen_formula(self, n, fft_workers, fine_thread_switching):
         cov = ns.build_covariance(0.75, 30.0, n)
         tab = cov.table
         tile = ns._noise_tile(tab.n_modes)
@@ -170,23 +167,17 @@ class TestNoiseBlockBytes:
         bare = c[..., 0, None] * tab.pol[None, :, 0, :] + c[..., 1, None] * tab.pol[None, :, 1, :]
         assert signbits(bare[:, both_zero]).any()
 
-        saved, switch = nl.FFT_WORKERS, sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (-1, 1, 5):   # all cores, serial, more threads than cores
-                nl.set_fft_workers(workers)
-                for (call, scale, kind), (c, field) in zip(cases, expect):
-                    got = call()
-                    assert got.dtype == field.dtype and got.shape == field.shape
-                    assert got.tobytes() == field.tobytes()
-                    assert not signbits(got[:, both_zero]).any()
-                draws = ns._mode_gaussians(cov, cases[0][1], self.SEED, ids, self.STEP,
-                                           ns.KIND_OU)
-                assert draws.shape == expect[0][0].shape
-                assert draws.tobytes() == expect[0][0].tobytes()
-        finally:
-            nl.set_fft_workers(saved)
-            sys.setswitchinterval(switch)
+        for workers in (-1, 1, 5):   # all cores, serial, more threads than cores
+            fft_workers(workers)
+            for (call, scale, kind), (c, field) in zip(cases, expect):
+                got = call()
+                assert got.dtype == field.dtype and got.shape == field.shape
+                assert got.tobytes() == field.tobytes()
+                assert not signbits(got[:, both_zero]).any()
+            draws = ns._mode_gaussians(cov, cases[0][1], self.SEED, ids, self.STEP,
+                                       ns.KIND_OU)
+            assert draws.shape == expect[0][0].shape
+            assert draws.tobytes() == expect[0][0].tobytes()
 
 
 class TestQPowers:

@@ -1,10 +1,11 @@
-import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import fft as sfft
 
+from navsto import noise as ns
 from navsto import nonlinearity as nl
 from navsto import spectral as sp
 
@@ -147,7 +148,8 @@ class TestPathTiling:
                 *nl.b_self_and_linpair(u, y, tab, grid))
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-    def test_bytes_independent_of_tiles_and_threads(self, dtype):
+    def test_bytes_independent_of_tiles_and_threads(self, dtype, fft_workers,
+                                                    fine_thread_switching):
         tab = sp.mode_table(self.N)
         grid = nl.dealias_grid(self.N)
         real = np.finfo(dtype).dtype
@@ -160,21 +162,43 @@ class TestPathTiling:
         y = np.array(fields[self.P:], dtype=dtype)
         per_path = [self.kernels(u[i], y[i], tab, grid) for i in range(self.P)]
         expect = [np.stack([pp[j] for pp in per_path]) for j in range(4)]
-        saved, switch = nl.FFT_WORKERS, sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)   # interleave the tile threads finely
-        try:
-            for workers in (-1, 5, 1):   # all cores, more threads than cores, serial
-                nl.set_fft_workers(workers)
-                got = self.kernels(u, y, tab, grid)
-                for g, e in zip(got, expect):
-                    assert g.dtype == dtype
-                    assert g.tobytes() == e.tobytes()   # sees -0 vs +0, NaN payloads
-                # the single-set entry points are the two halves of the joint one
-                assert got[0].tobytes() == got[2].tobytes()
-                assert got[1].tobytes() == got[3].tobytes()
-        finally:
-            nl.set_fft_workers(saved)
-            sys.setswitchinterval(switch)
+        for workers in (-1, 5, 1):   # all cores, more threads than cores, serial
+            fft_workers(workers)
+            got = self.kernels(u, y, tab, grid)
+            for g, e in zip(got, expect):
+                assert g.dtype == dtype
+                assert g.tobytes() == e.tobytes()   # sees -0 vs +0, NaN payloads
+            # the single-set entry points are the two halves of the joint one
+            assert got[0].tobytes() == got[2].tobytes()
+            assert got[1].tobytes() == got[3].tobytes()
+
+
+def test_nested_tiled_calls_run_inline(fft_workers):
+    # a map_tiles task calls the tiled kernels on batches of several tiles; on
+    # the pool's threads they run inline, so the pool never waits on itself
+    n, dt, seed, step = 4, 1e-3, 33, 2
+    tab, grid = sp.mode_table(n), nl.dealias_grid(n)
+    cov = ns.build_covariance(0.75, 30.0, n)
+    p_b = 2 * nl.tile_paths(6, grid, 8) + 3
+    p_g = 2 * ns._noise_tile(tab.n_modes) + 3
+    u = np.array([random_field(n, 950 + i).coeffs for i in range(p_b)])
+    ids = np.arange(p_g)
+    expect = (nl.b_self_batch(u, tab, grid), ns.ou_block(cov, dt, seed, ids, step))
+    fft_workers(2)
+    got, on_pool = {}, {}
+
+    def task(lo):
+        on_pool[lo] = nl._thread.in_pool
+        got[lo] = (nl.b_self_batch(u, tab, grid), ns.ou_block(cov, dt, seed, ids, step))
+
+    caller = threading.Thread(target=nl.map_tiles, args=(task, 2, 1), daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive(), "nested tiled calls wait on their own pool"
+    assert on_pool == {0: True, 1: True}
+    for outs in got.values():
+        for g, e in zip(outs, expect):
+            assert g.tobytes() == e.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
