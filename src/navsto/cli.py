@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import dynamics as dyn
+from . import nonlinearity as nl
 from . import selection as sel
 from . import verifier as vf
 from .noise import dump_covariance_csv
@@ -236,24 +237,23 @@ def cmd_simulate(args, cfg, seeds, out):
     return artifacts, {"simulate": "pass" if blow == 0 else "inconclusive"}, blow
 
 
-def _ensemble_with_phis(cfg, seeds, workers, amplitude=1.0):
+def _ensemble_with_phis(cfg, seeds, amplitude=1.0):
     sim = sim_config(cfg)
     if amplitude != 1.0:
         sim = replace(sim, noise_amplitude=amplitude)
     cov = sim.covariance()
     phis = _phi_list(cfg, cov)
-    rec = dyn.run_ensemble(sim, seeds, phis=phis, workers=workers)
+    rec = dyn.run_ensemble(sim, seeds, phis=phis)
     return sim, cov, phis, rec
 
 
 def cmd_verify_mp2(args, cfg, seeds, out):
-    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds, args.workers)
+    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     cps = _grid_times(cfg)
     corrupted = None
     if cfg["control_paths"]:
         _, _, _, corrupted = _ensemble_with_phis(
-            cfg, np.arange(cfg["control_paths"]), args.workers,
-            amplitude=cfg["control_amplitude"])
+            cfg, np.arange(cfg["control_paths"]), amplitude=cfg["control_amplitude"])
     bias = None
     if cfg["pilot_paths"]:
         bias = vf.richardson_bias(sim, np.arange(cfg["pilot_paths"]), phis, cps)
@@ -262,7 +262,7 @@ def cmd_verify_mp2(args, cfg, seeds, out):
 
 
 def cmd_verify_energy(args, cfg, seeds, out):
-    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds, args.workers)
+    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     cps = _grid_times(cfg)
     bias = None
     if cfg["pilot_paths"]:
@@ -278,7 +278,7 @@ def cmd_verify_energy(args, cfg, seeds, out):
 
 
 def cmd_verify_doob(args, cfg, seeds, out):
-    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds, args.workers)
+    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     a = cfg["interval_a"] or rec.times[1]
     b = cfg["interval_b"] or rec.times[-1]
     n = cfg["moment"]
@@ -451,10 +451,13 @@ def main(argv=None) -> int:
     ap.add_argument("--config", default=None)
     ap.add_argument("--out", default=None)
     ap.add_argument("--seeds", default="0..0", help="inclusive range a..b or single id")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=None,
+                    help="tile threads for this run (default: every core)")
     ap.add_argument("--dt-override", type=float, default=None)
     ap.add_argument("--scheme", default=None)
     args = ap.parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        ap.error("--workers must be at least 1")
 
     try:
         cfg = parse_config(args.config)
@@ -468,7 +471,13 @@ def main(argv=None) -> int:
     seeds = _seed_range(args.seeds)
     t0 = time.time()
     out = _out_dir(args, args.subcommand, cfg, seeds)
-    artifacts, verdicts, blowups = _HANDLERS[args.subcommand](args, cfg, np.array(seeds), out)
+    saved = nl.FFT_WORKERS   # restored on return, so an in-process caller keeps its setting
+    if args.workers is not None:
+        nl.set_fft_workers(args.workers)
+    try:
+        artifacts, verdicts, blowups = _HANDLERS[args.subcommand](args, cfg, np.array(seeds), out)
+    finally:
+        nl.set_fft_workers(saved)
     return _finish(out, args.subcommand, cfg, seeds, artifacts, verdicts, t0, blowups)
 
 

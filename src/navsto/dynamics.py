@@ -28,7 +28,7 @@ from .nonlinearity import b_linpair_batch  # noqa: F401
 from .noise import CovarianceSpec, build_covariance, ou_decay, ou_variance
 from .spectral import SpectralField, mode_table, pair_with, theta
 
-#: fixed ensemble chunk size; constant so artifacts do not depend on worker count
+#: paths stepped at a time; bounds an ensemble's state memory (bytes do not depend on it)
 CHUNK = 1000
 
 SCHEMES = ("em", "expo-em")
@@ -159,7 +159,7 @@ class EnsembleRecord:
 
     Per-path arrays lead with the path axis: h2 is (P, S+1), series
     (P, S+1, K, 3) and mphi (n_phi, P, S+1).  A one-path record (`path(i)`,
-    `simulate_path` and the single-path solvers) has no path axis: h2 is
+    `simulate_path` and `solve_controlled`) has no path axis: h2 is
     (S+1,), series (S+1, K, 3) and mphi (n_phi, S+1).
     """
 
@@ -344,107 +344,121 @@ class Scheme:
 
 # -- the batched stepper -------------------------------------------------------
 
+def _step_paths(cfg: SimConfig, tile: int, states: tuple, step_tile, record=None) -> tuple:
+    """Step the (P, K, 3) arrays `states` cfg.n_steps times; the final ones come back.
+
+    Each step is one map_tiles pass over path tiles of `tile` rows:
+    step_tile(s, rows, now, nxt) writes step s + 1 of the rows into nxt from
+    now, both tuples of the tile's row views, and record(s + 1, rows, nxt)
+    follows on the same thread; record(0, ...) first runs on the start
+    states.  The states and one set of next-state buffers swap after each
+    pass, so two sets live at full size.  Without B the tiles run in order
+    on this thread: a Stokes step is per-path noise draws and small array
+    operations that hold the GIL, and tile threads would only hand it back
+    and forth.
+    """
+    now, nxt = states, tuple(np.empty_like(a) for a in states)
+    P, threaded = len(states[0]), cfg.mode != "stokes"
+    if record is not None:
+        map_tiles(lambda lo: record(0, slice(lo, lo + tile), tuple(a[lo:lo + tile] for a in now)),
+                  P, tile, threaded)
+    for s in range(cfg.n_steps):
+        def run(lo: int) -> None:
+            rows = slice(lo, lo + tile)
+            new = tuple(a[rows] for a in nxt)
+            step_tile(s, rows, tuple(a[rows] for a in now), new)
+            if record is not None:
+                record(s + 1, rows, new)
+        map_tiles(run, P, tile, threaded)
+        now, nxt = nxt, now
+    return now
+
+
 def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
                  noise_provider: str = "native", keep_final: bool = True,
-                 keep_series: bool = False, workers: int = 1) -> EnsembleRecord:
+                 keep_series: bool = False) -> EnsembleRecord:
     """Integrate an ensemble of paths, tracking the martingale-problem functionals.
 
     phis: sequence of TestFunction-like objects exposing .coeffs, .a_coeffs
-    and optionally .name.  Results are independent of the CHUNK-sized
-    batching because every path's arithmetic touches only its own slice;
-    CHUNK is fixed for reproducibility.
-    """
-    path_ids = np.asarray(path_ids, dtype=np.int64)
-    parts = [slice(i, min(i + CHUNK, path_ids.size))
-             for i in range(0, path_ids.size, CHUNK)]
-    args = [(cfg, path_ids[s], _x0_block(x0, s, path_ids.size), phis,
-             noise_provider, keep_final, keep_series) for s in parts]
-    results = _map_tasks(_run_chunk, args, workers)
-    names = tuple(getattr(p, "name", f"phi{j}") for j, p in enumerate(phis))
-    return _merge_records(cfg, path_ids, names, results)
-
-
-def _pool_init():
-    from .nonlinearity import set_fft_workers
-    set_fft_workers(1)
-
-
-def _map_tasks(fn, args, workers: int):
-    """Order-preserving map of fn(*a); byte-identical for any worker count."""
-    if workers > 1 and len(args) > 1:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers, initializer=_pool_init) as pool:
-            return pool.starmap(fn, args)
-    return [fn(*a) for a in args]
-
-
-def _x0_block(x0, sl: slice, total: int):
-    if x0 is None:
-        return None
-    x0 = np.asarray(x0, dtype=np.complex128)
-    if x0.ndim == 2:
-        return x0
-    if x0.ndim == 3 and x0.shape[0] == total:
-        return x0[sl]
-    raise ValueError("x0 must be (K,3) or (P,K,3)")
-
-
-def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
-               keep_final: bool, keep_series: bool) -> dict:
-    """Integrate the paths `ids` one scheme step at a time.
-
-    Each step is one map_tiles pass over B-sized path tiles: a tile runs B,
-    its noise, the step, the M^phi increments, the blow-up census and the
-    norms and <u, phi> of its new states, writing only its own rows.  So
-    only u and one u_next live at full size, swapped each step.  Without B
-    the tiles run in order on this thread: a Stokes step is per-path noise
-    draws and small array operations that hold the GIL, and tile threads
-    would only hand it back and forth.
+    and optionally .name.  The record is allocated once and each CHUNK of
+    paths writes its own rows, so only one chunk's states live at a time.
+    Results are independent of the chunking because every path's arithmetic
+    touches only its own slice; CHUNK is fixed for reproducibility.
     """
     sch = Scheme(cfg, np.complex128)
-    S = cfg.n_steps
-    P, K = ids.size, sch.tab.n_modes
-    dt, nu = cfg.dt, cfg.nu
+    path_ids = np.asarray(path_ids, dtype=np.int64)
+    P, S, K = path_ids.size, cfg.n_steps, sch.tab.n_modes
+    moments = range(2, cfg.n_max + 1)
+    n_phi = len(phis)
+    rec = EnsembleRecord(
+        cfg=cfg, path_ids=path_ids, times=np.arange(S + 1) * cfg.dt,
+        h2=np.empty((P, S + 1)), v2=np.empty((P, S + 1)), w2=np.empty((P, S + 1)),
+        int_v2=np.zeros((P, S + 1)),
+        int_h2nm2_v2={n: np.zeros((P, S + 1)) for n in moments},
+        int_h2nm2={n: np.zeros((P, S + 1)) for n in moments},
+        sigma_sq=sch.cov.sigma_sq_total,
+        phi_names=tuple(getattr(p, "name", f"phi{j}") for j, p in enumerate(phis)),
+        mphi=np.zeros((n_phi, P, S + 1)) if n_phi else None,
+        proj_phi=np.zeros((n_phi, P, S + 1)) if n_phi else None,
+        blown=np.zeros(P, dtype=bool), blow_step=np.full(P, -1, dtype=np.int64),
+        series=np.empty((P, S + 1, K, 3), dtype=np.complex128) if keep_series else None)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.complex128)
+        if not (x0.ndim == 2 or x0.ndim == 3 and len(x0) == P):
+            raise ValueError("x0 must be (K,3) or (P,K,3)")
+    for lo in range(0, P, CHUNK):
+        rows = slice(lo, min(lo + CHUNK, P))
+        start = x0 if x0 is None or x0.ndim == 2 else x0[rows]
+        final = _run_chunk(sch, rec, rows, start, phis, noise_provider)
+        if keep_final:
+            if rec.final is None:   # made once the first chunk's u_next is freed
+                rec.final = np.empty((P, K, 3), dtype=np.complex128)
+            rec.final[rows] = final
+        del final   # so the next chunk steps without this one's states
+    return rec
 
-    u = np.zeros((P, K, 3), dtype=np.complex128)
+
+def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, x0, phis,
+               noise_provider: str) -> np.ndarray:
+    """Integrate the record's rows `chunk`; their final states come back.
+
+    A path tile's step runs B, its noise, the step, the M^phi increments,
+    the blow-up census and the norms and <u, phi> of its new states, writing
+    only its own rows of the record.  The running integrals follow from the
+    norms afterwards.
+    """
+    cfg = sch.cfg
+    dt, nu = cfg.dt, cfg.nu
+    ids = rec.path_ids[chunk]
+    h2, v2, w2 = rec.h2[chunk], rec.v2[chunk], rec.w2[chunk]
+    mphi = None if rec.mphi is None else rec.mphi[:, chunk]
+    proj = None if rec.proj_phi is None else rec.proj_phi[:, chunk]
+    blown, blow_step = rec.blown[chunk], rec.blow_step[chunk]
+    series = None if rec.series is None else rec.series[chunk]
+
+    u = np.zeros((ids.size, sch.tab.n_modes, 3), dtype=np.complex128)
     if x0 is not None:
         u[:] = x0
-    u_next = np.empty_like(u)
 
-    h2 = np.empty((P, S + 1)); v2 = np.empty((P, S + 1)); w2 = np.empty((P, S + 1))
-    int_v2 = np.zeros((P, S + 1))
-    moments = range(2, cfg.n_max + 1)
-    int_h2nm2_v2 = {n: np.zeros((P, S + 1)) for n in moments}
-    int_h2nm2 = {n: np.zeros((P, S + 1)) for n in moments}
-    n_phi = len(phis)
-    mphi = np.zeros((n_phi, P, S + 1)) if n_phi else None
-    proj = np.zeros((n_phi, P, S + 1)) if n_phi else None
-    blown = np.zeros(P, dtype=bool)
-    blow_step = np.full(P, -1, dtype=np.int64)
-    series = np.empty((P, S + 1, K, 3), dtype=np.complex128) if keep_series else None
-
-    use_b = cfg.mode != "stokes"
-    tile = sch.tile
-
-    def record(rows: slice, v: np.ndarray, s: int) -> None:
+    def record(s: int, rows: slice, states: tuple) -> None:
+        v, = states
         h2[rows, s], v2[rows, s], w2[rows, s] = _norm_sq(v, None, sch.lam, sch.w_w)
         for j, phi in enumerate(phis):
             proj[j, rows, s] = pair_with(v, phi.coeffs)
-        if keep_series:
+        if series is not None:
             series[rows, s] = v
 
-    def step_tile(lo: int) -> None:   # step s of the rows lo:lo+tile
-        rows = slice(lo, lo + tile)
-        ut, un = u[rows], u_next[rows]
-        b = b_self_batch(ut, sch.tab, sch.grid) if use_b else None
+    def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
+        (ut,), (un,) = now, nxt
+        b = b_self_batch(ut, sch.tab, sch.grid) if cfg.mode != "stokes" else None
         g = _noise_block(cfg, sch.cov, ids[rows], s, noise_provider)
         sch.advance(ut, b, sch.chi(w2[rows, s]), g, out=un)
-        if n_phi:
+        if mphi is not None:
             du = un - ut
             for j, phi in enumerate(phis):
                 inc = (pair_with(du, phi.coeffs)
                        + dt * nu * pair_with(ut, phi.a_coeffs))
-                if use_b:
+                if b is not None:
                     inc = inc + dt * pair_with(b, phi.coeffs)
                 mphi[j, rows, s + 1] = mphi[j, rows, s] + inc
         fresh = ~np.isfinite(un).all(axis=(1, 2)) & ~blown[rows]
@@ -452,54 +466,16 @@ def _run_chunk(cfg: SimConfig, ids: np.ndarray, x0, phis, noise_provider: str,
             blown[rows] |= fresh
             blow_step[rows][fresh] = s + 1
             un[fresh] = np.nan
-        record(rows, un, s + 1)
 
-    map_tiles(lambda lo: record(slice(lo, lo + tile), u[lo:lo + tile], 0), P, tile, use_b)
-    for s in range(S):
-        # left-endpoint quadrature of the running integrals
-        int_v2[:, s + 1] = int_v2[:, s] + dt * v2[:, s]
-        for n in moments:
-            hp = h2[:, s] ** (n - 1)
-            int_h2nm2_v2[n][:, s + 1] = int_h2nm2_v2[n][:, s] + dt * hp * v2[:, s]
-            int_h2nm2[n][:, s + 1] = int_h2nm2[n][:, s] + dt * hp
-        map_tiles(step_tile, P, tile, use_b)
-        u, u_next = u_next, u
-
-    out = dict(ids=ids, h2=h2, v2=v2, w2=w2, int_v2=int_v2,
-               int_h2nm2_v2=int_h2nm2_v2, int_h2nm2=int_h2nm2,
-               mphi=mphi, proj=proj, blown=blown, blow_step=blow_step,
-               sigma_sq=sch.cov.sigma_sq_total)
-    if keep_final:
-        out["final"] = u
-    if keep_series:
-        out["series"] = series
-    return out
-
-
-def _merge_records(cfg: SimConfig, path_ids: np.ndarray, names: tuple,
-                   chunks: list[dict]) -> EnsembleRecord:
-    S = cfg.n_steps
-    times = np.arange(S + 1) * cfg.dt
-
-    def cat(key):
-        vals = [c[key] for c in chunks]
-        if vals[0] is None:
-            return None
-        axis = 1 if key in ("mphi", "proj") else 0
-        return np.concatenate(vals, axis=axis)
-
-    moments = chunks[0]["int_h2nm2_v2"].keys()
-    return EnsembleRecord(
-        cfg=cfg, path_ids=path_ids, times=times,
-        h2=cat("h2"), v2=cat("v2"), w2=cat("w2"), int_v2=cat("int_v2"),
-        int_h2nm2_v2={n: np.concatenate([c["int_h2nm2_v2"][n] for c in chunks]) for n in moments},
-        int_h2nm2={n: np.concatenate([c["int_h2nm2"][n] for c in chunks]) for n in moments},
-        sigma_sq=chunks[0]["sigma_sq"], phi_names=names,
-        mphi=cat("mphi"), proj_phi=cat("proj"),
-        final=cat("final") if "final" in chunks[0] else None,
-        blown=cat("blown"), blow_step=cat("blow_step"),
-        series=cat("series") if "series" in chunks[0] else None,
-    )
+    u, = _step_paths(cfg, sch.tile, (u,), step_tile, record)
+    # left-endpoint quadrature of the running integrals: np.cumsum adds in
+    # step order, as a loop of int[s + 1] = int[s] + dt f[s] would
+    np.cumsum(dt * v2[:, :-1], axis=1, out=rec.int_v2[chunk, 1:])
+    for n in rec.int_h2nm2_v2:
+        hp = h2[:, :-1] ** (n - 1)
+        np.cumsum(dt * hp * v2[:, :-1], axis=1, out=rec.int_h2nm2_v2[n][chunk, 1:])
+        np.cumsum(dt * hp, axis=1, out=rec.int_h2nm2[n][chunk, 1:])
+    return u
 
 
 def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -> SpectralField:
@@ -539,48 +515,6 @@ def simulate_path(cfg: SimConfig, path_id: int = 0, x0: SpectralField | None = N
         err.partial_record = record
         raise err
     return record
-
-
-def _one_path(cfg: SimConfig, sch: Scheme, x: np.ndarray, advance) -> EnsembleRecord:
-    """One-path record of u_{s+1} = advance(u_s, s) from u_0 = x over cfg's grid.
-
-    A nonfinite state is censused once and continues as NaN.
-    """
-    S = cfg.n_steps
-    u = x[None, :, :].astype(np.complex128)
-    h2 = np.empty(S + 1); v2 = np.empty(S + 1); w2 = np.empty(S + 1)
-    series = np.empty((S + 1, sch.tab.n_modes, 3), dtype=np.complex128)
-    blown, blow_step = False, -1
-    for s in range(S + 1):
-        h2[s], v2[s], w2[s] = (a[0] for a in _norm_sq(u, None, sch.lam, sch.w_w))
-        series[s] = u[0]
-        if s == S:
-            break
-        u = advance(u, s)
-        if not np.isfinite(u).all() and not blown:
-            blown, blow_step = True, s + 1
-            u[:] = np.nan
-    return EnsembleRecord(cfg=cfg, path_ids=None, times=np.arange(S + 1) * cfg.dt,
-                          h2=h2, v2=v2, w2=w2,
-                          int_v2=np.concatenate([[0.0], np.cumsum(v2[:-1]) * cfg.dt]),
-                          int_h2nm2_v2={}, int_h2nm2={}, sigma_sq=sch.cov.sigma_sq_total,
-                          phi_names=(), blown=blown, blow_step=blow_step, series=series)
-
-
-def solve_auxiliary_v(u0: SpectralField, z_series: np.ndarray, cfg: SimConfig) -> EnsembleRecord:
-    """Deterministic auxiliary equation dv/dt + Av + B(v+z, v+z) = 0.
-
-    z_series is the (S+1, K, 3) trajectory of the linear part on the same
-    grid; v + z reconstructs the full-mode path driven by that noise.
-    """
-    if z_series.shape[0] != cfg.n_steps + 1:
-        raise ValueError("z series grid does not match the configured horizon")
-    sch = Scheme(cfg, np.complex128)
-
-    def advance(v, s):
-        return sch.advance(v, b_self_batch(v + z_series[None, s], sch.tab, sch.grid))
-
-    return _one_path(cfg, sch, u0.coeffs, advance)
 
 
 # -- weak-strong paired runs ---------------------------------------------------
@@ -626,16 +560,15 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
     uc = uf.copy()
     if x0_cutoff is not None:
         uc[:] = x0_cutoff
-    uf_next, uc_next = np.empty_like(uf), np.empty_like(uc)
     w2f = np.empty((P, S + 1)); w2c = np.empty((P, S + 1))
     detected = np.full(P, S + 1, dtype=np.int64)  # step index of tau detection
     mismatch = np.zeros(P, dtype=np.int64)
     disc = np.zeros(P)                            # per-path max discrepancy
     same = np.empty(P, dtype=bool)                # cutoff row has the full row's bytes
     apart = np.empty(P, dtype=bool)               # cutoff row != full row
-    tile = sch.tile
 
-    def record(rows: slice, f: np.ndarray, c: np.ndarray, s: int) -> None:
+    def record(s: int, rows: slice, states: tuple) -> None:
+        f, c = states
         w2f[rows, s] = _norm_sq(f, sch.w_w)
         eq = (f.view(np.int64) == c.view(np.int64)).all(axis=(1, 2))   # bytes, not ==
         same[rows] = eq
@@ -653,9 +586,8 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
             d[~np.isfinite(d)] = np.inf
             disc[rows][bad] = np.maximum(disc[rows][bad], d)
 
-    def step_tile(lo: int) -> None:   # step s of the rows lo:lo+tile
-        rows = slice(lo, lo + tile)
-        f, c, fn, cn = uf[rows], uc[rows], uf_next[rows], uc_next[rows]
+    def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
+        (f, c), (fn, cn) = now, nxt
         ap = apart[rows]
         g = _noise_block(full_cfg, sch.cov, path_ids[rows], s)
         b = b_self_batch(np.concatenate([f, c[ap]]), sch.tab, sch.grid)
@@ -667,14 +599,8 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
             bc = b[:len(f)].copy()
             bc[ap] = b[len(f):]
             cn[own] = sch.advance(c[own], bc[own], chi[own], g[own])
-        record(rows, fn, cn, s + 1)
 
-    map_tiles(lambda lo: record(slice(lo, lo + tile), uf[lo:lo + tile], uc[lo:lo + tile], 0),
-              P, tile)
-    for s in range(S):
-        map_tiles(step_tile, P, tile)
-        uf, uf_next = uf_next, uf
-        uc, uc_next = uc_next, uc
+    _step_paths(full_cfg, sch.tile, (uf, uc), step_tile, record)
 
     times = np.arange(S + 1) * cfg.dt
     tau_f = stopping_time_tau_r_series(w2f, times, R)
@@ -710,8 +636,25 @@ def solve_controlled(x: SpectralField, w_increments: np.ndarray, R: float,
     if w_increments.shape[0] != cfg.n_steps:
         raise ValueError("control increments must cover every step")
     sch = _control_scheme(cfg, R, cfg.t_end)
-    return _one_path(cfg, sch, x.coeffs,
-                     lambda u, s: _euler_drift(sch, u, w_increments[None, s]))
+    S = cfg.n_steps
+    u = x.coeffs[None, :, :].astype(np.complex128)
+    h2 = np.empty(S + 1); v2 = np.empty(S + 1); w2 = np.empty(S + 1)
+    series = np.empty((S + 1, sch.tab.n_modes, 3), dtype=np.complex128)
+    blown, blow_step = False, -1
+    for s in range(S + 1):
+        h2[s], v2[s], w2[s] = (a[0] for a in _norm_sq(u, None, sch.lam, sch.w_w))
+        series[s] = u[0]
+        if s == S:
+            break
+        u = _euler_drift(sch, u, w_increments[None, s])
+        if not np.isfinite(u).all() and not blown:   # censused once, continues as NaN
+            blown, blow_step = True, s + 1
+            u[:] = np.nan
+    return EnsembleRecord(cfg=cfg, path_ids=None, times=np.arange(S + 1) * cfg.dt,
+                          h2=h2, v2=v2, w2=w2,
+                          int_v2=np.concatenate([[0.0], np.cumsum(v2[:-1]) * cfg.dt]),
+                          int_h2nm2_v2={}, int_h2nm2={}, sigma_sq=sch.cov.sigma_sq_total,
+                          phi_names=(), blown=blown, blow_step=blow_step, series=series)
 
 
 def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
@@ -800,9 +743,9 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
 
     u follows the engine's path bit for bit and y the exact Jacobian of its
     steps, with chi' in cutoff mode.  Each step is one map_tiles pass over
-    the B pair's path tiles, each tile stepping its own rows into the next
-    buffers.  Single precision trades ~1e-7 relative state error (far below
-    any Monte-Carlo standard error) for about 1.6x throughput.
+    the B pair's path tiles.  Single precision trades ~1e-7 relative state
+    error (far below any Monte-Carlo standard error) for about 1.6x
+    throughput.
     """
     cdtype = np.complex64 if precision == "single" else np.complex128
     sch = Scheme(cfg, cdtype)
@@ -810,23 +753,18 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
     P = ids.size
     u = np.broadcast_to(x, (P,) + x.shape).astype(cdtype).copy()
     y = np.broadcast_to(h, (P,) + h.shape).astype(cdtype).copy()
-    u_next, y_next = np.empty_like(u), np.empty_like(y)
     acc = np.zeros(P)
-    tile = tile_paths(12, sch.grid, sch.lam.itemsize)
 
-    def step_tile(lo: int) -> None:   # step s of the rows lo:lo+tile
-        rows = slice(lo, lo + tile)
-        b, lin = sch.tangent(u[rows], y[rows])
+    def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
+        (ut, yt), (un, yn) = now, nxt
+        b, lin = sch.tangent(ut, yt)
         g = _noise_block(cfg, sch.cov, ids[rows], s).astype(cdtype, copy=False)
-        sch.advance(u[rows], b, None, g, out=u_next[rows])
-        yn = sch.advance(y[rows], lin, out=y_next[rows])
+        sch.advance(ut, b, None, g, out=un)
+        sch.advance(yt, lin, out=yn)
         acc[rows] += 2.0 * np.real(
             np.einsum("pkj,pkj,k->p", yn, np.conj(g), inv_var)).astype(np.float64)
 
-    for s in range(cfg.n_steps):
-        map_tiles(step_tile, P, tile, cfg.mode != "stokes")   # as in _run_chunk
-        u, u_next = u_next, u
-        y, y_next = y_next, y
+    u, y = _step_paths(cfg, tile_paths(12, sch.grid, sch.lam.itemsize), (u, y), step_tile)
     return u, y, acc
 
 

@@ -46,9 +46,9 @@ class PaddingError(ValueError):
 #: threads; smaller B batches hand it to the FFT calls.  A call made from a
 #: tile-pool thread runs its tiles inline with one FFT thread, so a stepper's
 #: tile can call the kernels without waiting on its own pool or
-#: oversubscribing the FFTs.  Worker pools set it to 1 in children to avoid
-#: oversubscription.  Output bytes depend on neither this setting nor the
-#: tile size, because every path's arithmetic touches only its own slice.
+#: oversubscribing the FFTs.  `navsto --workers` sets it for one run.  Output
+#: bytes depend on neither this setting nor the tile size, because every
+#: path's arithmetic touches only its own slice.
 FFT_WORKERS = -1
 
 #: cache budget for one tile's pointwise products; the tile size follows from

@@ -23,8 +23,9 @@ RESULTS = []
 
 
 def _report(num, name, ok, seconds, budget):
-    line = (f"ACCEPTANCE {num:>2} [{name}] "
-            f"{'PASS' if ok else 'FAIL'} ({seconds:.1f}s / budget {budget:.0f}s)")
+    margin = 100.0 * (budget - seconds) / budget   # share of the budget left unused
+    line = (f"ACCEPTANCE {num:>2} [{name}] {'PASS' if ok else 'FAIL'} "
+            f"({seconds:.1f}s / budget {budget:.0f}s, margin {margin:.0f}%)")
     RESULTS.append(line)
     print("\n" + line)
     sys.stdout.flush()

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from navsto import cli
+from navsto import dynamics as dyn
+from navsto import nonlinearity as nl
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -224,3 +226,27 @@ def test_manifest_lists_every_artifact(tmp_path):
         if listed != written:
             unlisted[run.name] = sorted(set(written) - set(listed))
     assert unlisted == {}
+
+
+def test_workers_flag_sets_tile_threads_for_one_run(tmp_path, monkeypatch):
+    """--workers sets nonlinearity.FFT_WORKERS inside the run only; artifacts
+    do not depend on it."""
+    seeds, text = TINY["verify-mp2"]
+    cfgp = write_cfg(tmp_path, text)
+    before, seen = nl.FFT_WORKERS, []
+    run_ensemble = dyn.run_ensemble
+    monkeypatch.setattr(dyn, "run_ensemble",
+                        lambda *a, **kw: seen.append(nl.FFT_WORKERS) or run_ensemble(*a, **kw))
+    runs = []
+    for threads in ("1", "2"):
+        cli.main(["verify-mp2", "--config", cfgp, "--seeds", seeds, "--workers", threads,
+                  "--out", str(tmp_path / threads)])
+        assert nl.FFT_WORKERS == before
+        assert set(seen) == {int(threads)}
+        seen.clear()
+        runs.append(next((tmp_path / threads).glob("verify-mp2-*")))
+    a, b = runs
+    names = sorted(f.name for f in a.iterdir() if f.name != "manifest.json")
+    assert names == sorted(f.name for f in b.iterdir() if f.name != "manifest.json")
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -174,28 +174,6 @@ class TestStokesAndAuxiliary:
         se = vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(vals.mean() - target) <= 4 * se
 
-    def test_auxiliary_reduction_to_deterministic(self):
-        cfg = dyn.SimConfig(n=3, dt=1e-4, t_end=2e-3, scheme="em", mode="full",
-                            alpha0=0.75, q0=1.0, seed=10)
-        x0 = sp.random_divfree_field(3, sp.powerlaw_profile(3.0, 0.2), seed=11)
-        z = np.zeros((cfg.n_steps + 1, sp.mode_table(3).n_modes, 3), dtype=complex)
-        v_rec = dyn.solve_auxiliary_v(x0, z, cfg)
-        det = dyn.simulate_path(dyn.SimConfig(**{**cfg.__dict__, "mode": "deterministic"}),
-                                x0=x0, keep_series=True)
-        assert np.abs(v_rec.series - det.series).max() <= 1e-12
-
-    def test_v_plus_z_reconstructs_u(self):
-        cfg = dyn.SimConfig(n=4, dt=5e-4, t_end=0.02, scheme="expo-em", mode="full",
-                            alpha0=0.75, q0=20.0, seed=12)
-        x0 = sp.random_divfree_field(4, sp.powerlaw_profile(3.0, 1.0), seed=13)
-        u = dyn.simulate_path(cfg, path_id=5, x0=x0, keep_series=True)
-        z = stokes_z(cfg, path_id=5)
-        v = dyn.solve_auxiliary_v(x0, z.series, cfg)
-        sup = np.abs((v.series + z.series) - u.series).max()
-        assert sup <= 10 * cfg.dt * max(1.0, np.abs(u.series).max())
-        # V-norm stays finite over the window (discrete regularity clause)
-        assert np.isfinite(v.v2).all()
-
 
 class TestLinearizedFlow:
     """The tangent that _tangent_chunk co-integrates with each path."""
@@ -371,13 +349,25 @@ class TestControl:
         assert np.array_equal(designed[:t_star + 1], [u.coeffs for u in free[:t_star + 1]])
 
 class TestEnsembleMachinery:
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, fft_workers):
+        # 1 and 2 tile threads give the same bytes, and every field of the
+        # record is the concatenation of one separate run per CHUNK slice
         cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme="em", mode="full",
                             alpha0=0.75, q0=10.0, seed=40)
-        r1 = dyn.run_ensemble(cfg, np.arange(2 * dyn.CHUNK + 5), workers=1)
-        r2 = dyn.run_ensemble(cfg, np.arange(2 * dyn.CHUNK + 5), workers=2)
+        phis = [vf.TestFunction.build(single_mode_field(3, (1, 0, 0), [0, 1.0, 0]),
+                                      cfg.covariance(), "phi1")]
+        ids = np.arange(2 * dyn.CHUNK + 5)
+        runs = []
+        for threads in (1, 2):
+            fft_workers(threads)
+            runs.append(dyn.run_ensemble(cfg, ids, phis=phis))
+        r1, r2 = runs
         assert np.array_equal(r1.final, r2.final)
         assert np.array_equal(r1.h2, r2.h2)
+        parts = [record_rows(dyn.run_ensemble(cfg, ids[lo:lo + dyn.CHUNK], phis=phis))
+                 for lo in range(0, ids.size, dyn.CHUNK)]
+        for key, a in record_rows(r2).items():
+            assert a.tobytes() == np.concatenate([p[key] for p in parts]).tobytes(), key
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blowup_census(self):

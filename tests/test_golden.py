@@ -8,7 +8,6 @@ them must be re-pinned on its own, never together with a code change.
 """
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 
@@ -129,17 +128,6 @@ def test_step_em_cutoff():
     g = sp.SpectralField(4, ns.wiener_block(cfg.covariance(), cfg.dt, cfg.seed, [3], 0)[0])
     assert digest(dyn.step(x, cfg, g).coeffs, dyn.step(x, cfg, None).coeffs) == (
         "16d80e695a3785755e54b787d0669e5282f56b9a81ceb77fde6b6db79b657b10")
-
-
-def test_solve_auxiliary_v_both_schemes():
-    out = []
-    for scheme in ("em", "expo-em"):
-        cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme=scheme, q0=10.0, seed=4113)
-        z = dyn.run_ensemble(replace(cfg, mode="stokes"), [2], keep_series=True).path(0)
-        v = dyn.solve_auxiliary_v(sp.SpectralField(3, field(3, 4114, 3.0, 0.3)), z.series, cfg)
-        out += [v.series, v.h2, v.v2, v.w2, v.int_v2]
-    assert digest(*out) == (
-        "d2cb076e5ab6295f0254536ee4f085071aeef42a6735cb742e9d0eba10b4e399")
 
 
 def test_linearized_flow_em_cutoff_chi_prime_active():

@@ -318,6 +318,35 @@ class TestAlgebra:
         assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12 * np.abs(rhs.coeffs).max()
 
 
+FIELDS = dict(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), s=st.floats(0.0, 4.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FIELDS)
+def test_leray_idempotent(n, seed, s):
+    u = random_field(n, seed, s).coeffs
+    tab = sp.mode_table(n)
+    rng = np.random.default_rng(seed)
+    scale = np.abs(u).max()
+    coef = rng.standard_normal(tab.n_modes) + 1j * rng.standard_normal(tab.n_modes)
+    w = u + scale * coef[:, None] * tab.kvec   # plus a gradient part
+    pw = sp.leray_project(w, tab)
+    assert np.abs(sp.leray_project(u, tab) - u).max() <= 1e-13 * scale
+    assert np.abs(sp.leray_project(pw, tab) - pw).max() <= 1e-13 * np.abs(w).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FIELDS)
+def test_self_advection_is_energy_neutral(n, seed, s):
+    # <B(u, u), u> = 0 for divergence-free u, on the production kernel
+    u = random_field(n, seed, s).coeffs
+    tab = sp.mode_table(n)
+    b = nl.b_self_batch(u[None], tab, nl.dealias_grid(n))[0]
+    h2 = sp.sobolev_norm_sq(u, tab.lam, 0.0)
+    v = np.sqrt(sp.sobolev_norm_sq(u, tab.lam, 0.5))
+    assert abs(sp.pair_with(b, u)) <= 1e-13 * 2 * np.pi * h2 * v
+
+
 class TestBregRatio:
     def test_scale_invariance(self):
         u, v = random_field(4, 70), random_field(4, 71)
