@@ -16,6 +16,7 @@ on counter-based streams) without changing a bit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,11 +77,20 @@ def build_covariance(alpha0: float, q0: float, n: int,
                           sigma_sq_total=total)
 
 
+_stream = threading.local()   # one generator per thread, made without OS entropy
+
+
 def path_generator(seed: int, path_id: int, step: int, kind: int) -> Generator:
-    """Counter-based generator: pure function of (seed, path, step, kind)."""
-    counter = np.array([0, 0, kind, step], dtype=np.uint64)
-    key = np.array([np.uint64(seed), np.uint64(path_id)], dtype=np.uint64)
-    return Generator(Philox(counter=counter, key=key))
+    """Counter-based generator: pure function of (seed, path, step, kind); this
+    thread's one, in a fresh Philox(counter, key)'s full state until its next call."""
+    if not hasattr(_stream, "gen"):
+        _stream.gen = Generator(Philox(0))
+    _stream.gen.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": np.array([0, 0, kind, step], dtype=np.uint64),
+                  "key": np.array([np.uint64(seed), np.uint64(path_id)], dtype=np.uint64)},
+        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _stream.gen
 
 
 def _noise_tile(n_modes: int) -> int:

@@ -429,6 +429,10 @@ def inequality_sweep(spec: SweepSpec):
     rows = []
     n_top = max(spec.resolutions)
     prof = powerlaw_profile(spec.profile_exponent)
+    # |A^s f|^2 weights lam^(2s) per N: s = theta(alpha) for u and v, the target for B
+    exps = [(theta(a), (0.25 - eps) if eps is not None else (a - 0.25)) for _, a, eps in alphas]
+    weights = {n: [[mode_table(n).lam ** (2.0 * e[i]) for e in exps] for i in (0, 1)]
+               for n in spec.resolutions}
     for trial in range(spec.trials):
         # nested test family: the same field viewed at every truncation, so
         # the spread across N reflects truncation trends, not fresh sampling
@@ -440,12 +444,11 @@ def inequality_sweep(spec: SweepSpec):
             u = u_top if n == n_top else restrict_field(u_top, n)
             v = v_top if n == n_top else restrict_field(v_top, n)
             b = b_batch(u.coeffs, v.coeffs, tab, grid)
-            for label, a, eps in alphas:
-                th = theta(a)
-                den = np.sqrt(sobolev_norm_sq(u.coeffs, tab.lam, th)
-                              * sobolev_norm_sq(v.coeffs, tab.lam, th))
-                target = (0.25 - eps) if eps is not None else (a - 0.25)
-                num = np.sqrt(sobolev_norm_sq(b, tab.lam, target))
+            # each field's |f_k|^2 is formed once for all its exponents
+            nu2, nv2, nb2 = (np.atleast_1d(dyn._norm_sq(f, *weights[n][i]))
+                             for f, i in ((u.coeffs, 0), (v.coeffs, 0), (b, 1)))
+            for i, (label, _, _) in enumerate(alphas):
+                num, den = np.sqrt(nb2[i]), np.sqrt(nu2[i] * nv2[i])
                 rows.append((label, n, trial, float(num / den)))
     summary = {}
     for label, a, eps in alphas:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from navsto import noise as ns
 from navsto import spectral as sp
+from navsto.nonlinearity import map_tiles
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +180,47 @@ class TestNoiseBlockBytes:
                                        ns.KIND_OU)
             assert draws.shape == expect[0][0].shape
             assert draws.tobytes() == expect[0][0].tobytes()
+
+
+def fresh_generator(seed, path_id, step, kind):
+    counter = np.array([0, 0, kind, step], dtype=np.uint64)
+    key = np.array([seed, path_id], dtype=np.uint64)
+    return Generator(Philox(counter=counter, key=key))
+
+
+class TestPathGenerator:
+    """The per-thread generator, reset per (path, step), draws what a fresh one does."""
+
+    SEED = 2**63 + 17
+
+    @staticmethod
+    def sample(g):
+        # three 32-bit draws leave half of a 64-bit word behind for the next call
+        return g.random(3, dtype=np.float32).tobytes() + g.standard_normal(7).tobytes()
+
+    def draw(self, path_id, step, kind):
+        return self.sample(ns.path_generator(self.SEED, path_id, step, kind))
+
+    def test_out_of_order_draws_match_fresh_generators(self, fft_workers):
+        rng = np.random.default_rng(8)
+        keys = [(int(p), int(s), int(k)) for p, s, k in
+                zip(rng.integers(0, 2**40, 300), rng.integers(0, 50, 300),
+                    rng.integers(1, 3, 300))]
+        keys += keys[::-1]   # each (path, step) again, after others
+        want = [self.sample(fresh_generator(self.SEED, *key)) for key in keys]
+
+        got = [self.draw(*key) for key in keys]
+        assert got == want
+
+        got = [None] * len(keys)
+
+        def run(lo):
+            for i in range(lo, min(lo + 7, len(keys))):
+                got[i] = self.draw(*keys[i])
+
+        fft_workers(2)
+        map_tiles(run, len(keys), 7)
+        assert got == want
 
 
 class TestQPowers:

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,34 @@ def triad_oracle(u, v):
     return out
 
 
+def b_direct_full_box(u, v):
+    """Frozen b_direct: every shifted add over the whole (4N+1)^3 box, then a crop."""
+    n, tab, side = u.n, u.table, 2 * u.n + 1
+    vk, vc = nl._full_modes(v)
+    vcube = np.zeros((3, side, side, side), dtype=np.complex128)
+    vcube[:, vk[:, 0] + n, vk[:, 1] + n, vk[:, 2] + n] = vc.T
+    ax = np.arange(-n, n + 1, dtype=np.float64)
+    mgrid = np.meshgrid(ax, ax, ax, indexing="ij")
+    uk, uc = nl._full_modes(u)
+    out = np.zeros((3, 4 * n + 1, 4 * n + 1, 4 * n + 1), dtype=np.complex128)
+    for l, cl in zip(uk, uc):
+        if not (cl[0] or cl[1] or cl[2]):
+            continue
+        s = cl[0] * mgrid[0] + cl[1] * mgrid[1] + cl[2] * mgrid[2]
+        o1, o2, o3 = int(l[0]) + n, int(l[1]) + n, int(l[2]) + n
+        out[:, o1:o1 + side, o2:o2 + side, o3:o3 + side] += s[None, :, :, :] * vcube
+    kv = tab.kvec
+    coeffs = out[:, kv[:, 0] + 2 * n, kv[:, 1] + 2 * n, kv[:, 2] + 2 * n].T
+    return sp.leray_project(nl.TWO_PI * 1j * coeffs, tab)
+
+
 class TestDirect:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_cropped_adds_match_full_box(self, n):
+        u, v = random_field(n, 60 + n), random_field(n, 70 + n)
+        u.coeffs[3] = 0.0   # a skipped all-zero mode
+        assert nl.b_direct(u, v).coeffs.tobytes() == b_direct_full_box(u, v).tobytes()
+
     def test_zero_left_argument(self):
         v = random_field(3, 1)
         z = sp.SpectralField.zero(3)
@@ -257,13 +285,13 @@ def b_batch_full_cube(uc, vc, tab, grid):
     acc = None
     for a, ka in enumerate((kx, ky, kz)):
         dva = sfft.irfftn(v_hat * (nl.TWO_PI * 1j * ka), s=(grid,) * 3, axes=axes)
-        term = u_phys[a:a + 1] * dva
+        term = u_phys[..., a:a + 1, :, :, :] * dva
         acc = term if acc is None else acc + term
-    zf = sfft.rfftn(acc, axes=axes).reshape(3, -1)
-    out = np.empty((3, tab.n_modes), dtype=zf.dtype)
-    out[:, k3 >= 0] = zf[:, pos[k3 >= 0]]
-    out[:, k3 < 0] = np.conj(zf[:, neg[k3 < 0]])
-    return sp.leray_project(out.T * grid**3, tab)
+    zf = sfft.rfftn(acc, axes=axes).reshape(acc.shape[:-3] + (-1,))
+    out = np.empty(zf.shape[:-1] + (tab.n_modes,), dtype=zf.dtype)
+    out[..., k3 >= 0] = zf[..., pos[k3 >= 0]]
+    out[..., k3 < 0] = np.conj(zf[..., neg[k3 < 0]])
+    return sp.leray_project(np.swapaxes(out, -1, -2) * grid**3, tab)
 
 
 class TestPrunedTransforms:
@@ -291,12 +319,33 @@ class TestPrunedTransforms:
         want = full[..., side[:, None], side, :n + 1]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [16, 32])
-    def test_b_batch_matches_full_cube(self, n):
+    @pytest.mark.parametrize("n, batch", [pytest.param(16, 1, id="16"),
+                                          pytest.param(32, 1, id="32"),
+                                          pytest.param(4, 3, id="4-batch3")])
+    def test_b_batch_matches_full_cube(self, n, batch):
         tab = sp.mode_table(n)
         grid = nl.dealias_grid(n)
-        u, v = random_field(n, 110 + n).coeffs, random_field(n, 111 + n).coeffs
+        fields = [[random_field(n, 110 + n + 2 * i + j).coeffs for i in range(batch)]
+                  for j in (0, 1)]
+        u, v = (f[0] if batch == 1 else np.stack(f) for f in fields)
         assert nl.b_batch(u, v, tab, grid).tobytes() == b_batch_full_cube(u, v, tab, grid).tobytes()
+
+    def test_b_batch_streams_one_component(self):
+        # one velocity component in flight: about 9 real grids per batch-1
+        # call, where the three components at once took about 20
+        n = 16
+        tab = sp.mode_table(n)
+        grid = nl.dealias_grid(n)
+        u, v = random_field(n, 5).coeffs, random_field(n, 6).coeffs
+        nl.b_batch(u, v, tab, grid)   # tables and layouts outside the count
+        tracemalloc.start()
+        try:
+            nl.b_batch(u, v, tab, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = peak / (grid**3 * 8)
+        assert grids < 12, grids
 
 
 class TestAlgebra:
