@@ -17,6 +17,7 @@ the Ito convention and the discrete schemes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .nonlinearity import b_linpair_batch  # noqa: F401
 from .noise import CovarianceSpec, build_covariance, ou_decay, ou_variance
 from .spectral import SpectralField, mode_table, pair_with, theta
 
-#: paths stepped at a time; bounds an ensemble's state memory (bytes do not depend on it)
+#: paths stepped at a time; bounds an ensemble's chunk arrays (bytes do not depend on it)
 CHUNK = 1000
 
 SCHEMES = ("em", "expo-em")
@@ -344,34 +345,35 @@ class Scheme:
 
 # -- the batched stepper -------------------------------------------------------
 
-def _step_paths(cfg: SimConfig, tile: int, states: tuple, step_tile, record=None) -> tuple:
-    """Step the (P, K, 3) arrays `states` cfg.n_steps times; the final ones come back.
+def _step_paths(cfg: SimConfig, tile: int, states: tuple, step_tile,
+                record=lambda s, rows, now: None) -> None:
+    """Step the (P, K, 3) arrays `states` in place cfg.n_steps times.
 
-    Each step is one map_tiles pass over path tiles of `tile` rows:
-    step_tile(s, rows, now, nxt) writes step s + 1 of the rows into nxt from
-    now, both tuples of the tile's row views, and record(s + 1, rows, nxt)
-    follows on the same thread; record(0, ...) first runs on the start
-    states.  The states and one set of next-state buffers swap after each
-    pass, so two sets live at full size.  Without B the tiles run in order
-    on this thread: a Stokes step is per-path noise draws and small array
-    operations that hold the GIL, and tile threads would only hand it back
-    and forth.
+    Each step is one map_tiles pass over path tiles of `tile` rows that
+    touch only their own rows: step_tile(s, rows, now, nxt) writes step
+    s + 1 of the rows (now) into nxt, one-tile buffers its thread keeps for
+    the call (fresh ones would make glibc trim and fault a tile's memory
+    back in each time; see nonlinearity._products_buffer), which are copied
+    back before record(s + 1, rows, now) runs on the same thread.  record(0,
+    ...) first runs on the start states.  Stokes tiles (no B) run in order
+    on this thread: their per-path noise draws hold the GIL.
     """
-    now, nxt = states, tuple(np.empty_like(a) for a in states)
     P, threaded = len(states[0]), cfg.mode != "stokes"
-    if record is not None:
-        map_tiles(lambda lo: record(0, slice(lo, lo + tile), tuple(a[lo:lo + tile] for a in now)),
-                  P, tile, threaded)
+    spare = threading.local()
+    map_tiles(lambda lo: record(0, slice(lo, lo + tile), tuple(a[lo:lo + tile] for a in states)),
+              P, tile, threaded)
     for s in range(cfg.n_steps):
         def run(lo: int) -> None:
             rows = slice(lo, lo + tile)
-            new = tuple(a[rows] for a in nxt)
-            step_tile(s, rows, tuple(a[rows] for a in now), new)
-            if record is not None:
-                record(s + 1, rows, new)
+            now = tuple(a[rows] for a in states)
+            if not hasattr(spare, "new"):
+                spare.new = tuple(np.empty_like(a[:tile]) for a in states)
+            new = tuple(b[:len(a)] for a, b in zip(now, spare.new))
+            step_tile(s, rows, now, new)
+            for a, b in zip(now, new):
+                a[...] = b
+            record(s + 1, rows, now)
         map_tiles(run, P, tile, threaded)
-        now, nxt = nxt, now
-    return now
 
 
 def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
@@ -381,9 +383,9 @@ def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
 
     phis: sequence of TestFunction-like objects exposing .coeffs, .a_coeffs
     and optionally .name.  The record is allocated once and each CHUNK of
-    paths writes its own rows, so only one chunk's states live at a time.
-    Results are independent of the chunking because every path's arithmetic
-    touches only its own slice; CHUNK is fixed for reproducibility.
+    paths steps in place in its rows of rec.final (or of a chunk array with
+    keep_final=False).  Results are independent of the chunking because
+    every path's arithmetic touches only its own slice.
     """
     sch = Scheme(cfg, np.complex128)
     path_ids = np.asarray(path_ids, dtype=np.int64)
@@ -400,6 +402,7 @@ def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
         phi_names=tuple(getattr(p, "name", f"phi{j}") for j, p in enumerate(phis)),
         mphi=np.zeros((n_phi, P, S + 1)) if n_phi else None,
         proj_phi=np.zeros((n_phi, P, S + 1)) if n_phi else None,
+        final=np.empty((P, K, 3), dtype=np.complex128) if keep_final else None,
         blown=np.zeros(P, dtype=bool), blow_step=np.full(P, -1, dtype=np.int64),
         series=np.empty((P, S + 1, K, 3), dtype=np.complex128) if keep_series else None)
     if x0 is not None:
@@ -408,24 +411,21 @@ def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
             raise ValueError("x0 must be (K,3) or (P,K,3)")
     for lo in range(0, P, CHUNK):
         rows = slice(lo, min(lo + CHUNK, P))
-        start = x0 if x0 is None or x0.ndim == 2 else x0[rows]
-        final = _run_chunk(sch, rec, rows, start, phis, noise_provider)
-        if keep_final:
-            if rec.final is None:   # made once the first chunk's u_next is freed
-                rec.final = np.empty((P, K, 3), dtype=np.complex128)
-            rec.final[rows] = final
-        del final   # so the next chunk steps without this one's states
+        u = rec.final[rows] if keep_final else np.empty((rows.stop - lo, K, 3), np.complex128)
+        u[:] = 0.0 if x0 is None else x0 if x0.ndim == 2 else x0[rows]
+        _run_chunk(sch, rec, rows, u, phis, noise_provider)
+        del u   # so the next chunk steps without this one's states
     return rec
 
 
-def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, x0, phis,
-               noise_provider: str) -> np.ndarray:
-    """Integrate the record's rows `chunk`; their final states come back.
+def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, u: np.ndarray, phis,
+               noise_provider: str) -> None:
+    """Integrate the record's rows `chunk` from their start states u, in place.
 
     A path tile's step runs B, its noise, the step, the M^phi increments,
     the blow-up census and the norms and <u, phi> of its new states, writing
-    only its own rows of the record.  The running integrals follow from the
-    norms afterwards.
+    only its own rows of u and of the record.  The running integrals follow
+    from the norms afterwards.
     """
     cfg = sch.cfg
     dt, nu = cfg.dt, cfg.nu
@@ -435,10 +435,6 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, x0, phis,
     proj = None if rec.proj_phi is None else rec.proj_phi[:, chunk]
     blown, blow_step = rec.blown[chunk], rec.blow_step[chunk]
     series = None if rec.series is None else rec.series[chunk]
-
-    u = np.zeros((ids.size, sch.tab.n_modes, 3), dtype=np.complex128)
-    if x0 is not None:
-        u[:] = x0
 
     def record(s: int, rows: slice, states: tuple) -> None:
         v, = states
@@ -467,7 +463,7 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, x0, phis,
             blow_step[rows][fresh] = s + 1
             un[fresh] = np.nan
 
-    u, = _step_paths(cfg, sch.tile, (u,), step_tile, record)
+    _step_paths(cfg, sch.tile, (u,), step_tile, record)
     # left-endpoint quadrature of the running integrals: np.cumsum adds in
     # step order, as a loop of int[s + 1] = int[s] + dt f[s] would
     np.cumsum(dt * v2[:, :-1], axis=1, out=rec.int_v2[chunk, 1:])
@@ -475,7 +471,6 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, x0, phis,
         hp = h2[:, :-1] ** (n - 1)
         np.cumsum(dt * hp * v2[:, :-1], axis=1, out=rec.int_h2nm2_v2[n][chunk, 1:])
         np.cumsum(dt * hp, axis=1, out=rec.int_h2nm2[n][chunk, 1:])
-    return u
 
 
 def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -> SpectralField:
@@ -730,30 +725,32 @@ def run_tangent_ensemble(cfg: SimConfig, x: np.ndarray, h: np.ndarray, path_ids,
     if cfg.mode not in ("cutoff", "full", "stokes"):
         raise ValueError("gradient probe runs on the (cutoff) dynamics")
     path_ids = np.asarray(path_ids, dtype=np.int64)
-    # keep (u, acc) of each chunk; its final tangents y are freed at once
-    parts = [_tangent_chunk(cfg, x, h, path_ids[lo:lo + CHUNK], precision)[::2]
-             for lo in range(0, path_ids.size, CHUNK)]
-    return dict(final=np.concatenate([u for u, _ in parts]),
-                bel_sum=np.concatenate([acc for _, acc in parts]), n_steps=cfg.n_steps)
+    cdtype = np.complex64 if precision == "single" else np.complex128
+    final, bel_sum = np.empty((path_ids.size,) + x.shape, dtype=cdtype), np.zeros(path_ids.size)
+    for lo in range(0, path_ids.size, CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        _tangent_chunk(cfg, x, h, path_ids[rows], precision, final[rows], bel_sum[rows])
+    return dict(final=final, bel_sum=bel_sum, n_steps=cfg.n_steps)
 
 
 def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray,
-                   precision: str = "double"):
+                   precision: str = "double", u: np.ndarray | None = None,
+                   acc: np.ndarray | None = None):
     """Final states u, final tangents y = Du h and BEL sums of the paths `ids`.
 
     u follows the engine's path bit for bit and y the exact Jacobian of its
-    steps, with chi' in cutoff mode.  Each step is one map_tiles pass over
-    the B pair's path tiles.  Single precision trades ~1e-7 relative state
-    error (far below any Monte-Carlo standard error) for about 1.6x
-    throughput.
+    steps, with chi' in cutoff mode, in one map_tiles pass per step over the
+    B pair's path tiles; u and acc ((P,) zeros) are made here unless given.
+    Single precision trades ~1e-7 relative state error (far below any
+    Monte-Carlo standard error) for about 1.6x throughput.
     """
     cdtype = np.complex64 if precision == "single" else np.complex128
     sch = Scheme(cfg, cdtype)
     inv_var = (1.0 / scheme_step_variance(cfg, sch.cov)).astype(sch.lam.dtype)
-    P = ids.size
-    u = np.broadcast_to(x, (P,) + x.shape).astype(cdtype).copy()
-    y = np.broadcast_to(h, (P,) + h.shape).astype(cdtype).copy()
-    acc = np.zeros(P)
+    if u is None:
+        u, acc = np.empty((ids.size,) + x.shape, dtype=cdtype), np.zeros(ids.size)
+    u[:] = x
+    y = np.broadcast_to(h, u.shape).astype(cdtype)
 
     def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
         (ut, yt), (un, yn) = now, nxt
@@ -764,7 +761,7 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
         acc[rows] += 2.0 * np.real(
             np.einsum("pkj,pkj,k->p", yn, np.conj(g), inv_var)).astype(np.float64)
 
-    u, y = _step_paths(cfg, tile_paths(12, sch.grid, sch.lam.itemsize), (u, y), step_tile)
+    _step_paths(cfg, tile_paths(12, sch.grid, sch.lam.itemsize), (u, y), step_tile)
     return u, y, acc
 
 

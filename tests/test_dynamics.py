@@ -733,11 +733,11 @@ def test_tiled_tangent_matches_per_path_runs(workers, fft_workers, per_path_tang
         assert out[key].tobytes() == a.tobytes(), key
 
 
-def test_ensemble_holds_two_states(fft_workers):
-    # the tiled step keeps u and u_next at full size and every other array
-    # per tile; the merged record adds the final states once more.  Each
-    # tile thread holds one tile's arrays, so the thread count is fixed at
-    # two, whatever the number of cores
+def test_ensemble_holds_one_state(fft_workers):
+    # the chunk steps in place in its rows of rec.final, and every other
+    # array is per tile: the next states, B, the noise.  Each tile thread
+    # holds one tile's arrays, so the thread count is fixed at two, whatever
+    # the number of cores
     cfg = dyn.SimConfig(n=6, dt=1e-3, t_end=2e-3, scheme="expo-em", q0=30.0, seed=615)
     phis = [vf.TestFunction.build(single_mode_field(6, (1, 0, 0), [0, 1.0, 0]),
                                   cfg.covariance(), "phi1")]
@@ -751,4 +751,25 @@ def test_ensemble_holds_two_states(fft_workers):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * state_bytes, peak / state_bytes
+    assert peak < 1.6 * state_bytes, peak / state_bytes
+
+
+def test_tangent_ensemble_builds_each_set_once(fft_workers):
+    # the states step in place in the returned final states and the
+    # tangents in one chunk-sized set, each built once from x and h; the
+    # rest is per tile.  Two tile threads, as above
+    cfg = dyn.SimConfig(n=4, dt=0.025, t_end=0.1, scheme="expo-em", mode="cutoff",
+                        r=5.0, alpha0=0.25, seed=616)
+    x = sp.random_divfree_field(4, sp.powerlaw_profile(3.0), seed=617).coeffs
+    h = sp.random_divfree_field(4, sp.powerlaw_profile(3.0, 0.5), seed=618).coeffs
+    P = 1000
+    state_bytes = P * sp.mode_table(4).n_modes * 3 * 8   # complex64
+    fft_workers(2)
+    dyn.run_tangent_ensemble(cfg, x, h, np.arange(2), precision="single")   # tables outside
+    tracemalloc.start()
+    try:
+        dyn.run_tangent_ensemble(cfg, x, h, np.arange(P), precision="single")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * state_bytes, peak / state_bytes
