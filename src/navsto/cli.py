@@ -209,10 +209,15 @@ def _report(out: Path, rep: vf.TestReport, blowups: int = 0):
 
 
 def _seed_range(spec: str) -> list:
+    """The ids of an inclusive range a..b or of one id; ValueError if none."""
     if ".." in spec:
         a, b = spec.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(spec)]
+        seeds = list(range(int(a), int(b) + 1))
+    else:
+        seeds = [int(spec)]
+    if not seeds:
+        raise ValueError(f"empty seed range {spec!r}")
+    return seeds
 
 
 # -- subcommand bodies: each returns (artifacts, verdicts, blowups) ---------------
@@ -458,6 +463,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.workers is not None and args.workers < 1:
         ap.error("--workers must be at least 1")
+    try:
+        seeds = _seed_range(args.seeds)
+    except ValueError:
+        ap.error(f"--seeds must be one integer or a range a..b with a <= b, not {args.seeds!r}")
 
     try:
         cfg = parse_config(args.config)
@@ -468,7 +477,6 @@ def main(argv=None) -> int:
         cfg["dt"] = args.dt_override
     if args.scheme is not None:
         cfg["scheme"] = args.scheme
-    seeds = _seed_range(args.seeds)
     t0 = time.time()
     out = _out_dir(args, args.subcommand, cfg, seeds)
     saved = nl.FFT_WORKERS   # restored on return, so an in-process caller keeps its setting

@@ -113,7 +113,9 @@ def chi_r_prime(r, R: float):
     return out if out.ndim else float(out)
 
 
-# -- noise providers -----------------------------------------------------------
+# -- noise sources -------------------------------------------------------------
+# A noise source is a callable (cfg, cov, path_ids, step) -> (P, K, 3) | None
+# (None: no increment); run_ensemble steps with _noise_block unless given one.
 
 def scheme_step_variance(cfg: SimConfig, cov: CovarianceSpec) -> np.ndarray:
     """Exact per-mode noise variance of one step of the configured scheme."""
@@ -122,34 +124,32 @@ def scheme_step_variance(cfg: SimConfig, cov: CovarianceSpec) -> np.ndarray:
     return ou_variance(cov, cfg.dt, cfg.nu)
 
 
-def _noise_block(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int,
-                 provider: str = "native"):
-    """One step of scheme noise for a batch of paths.
+def _noise_block(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int) -> np.ndarray:
+    """One step of the scheme's noise at cfg.dt for a batch of paths.
 
-    provider "native": increments match the scheme at cfg.dt.
-    provider "coupled-coarse": compose the two fine half-steps at cfg.dt/2 so
-    a coarse path is pathwise coupled to its fine twin (used by the
-    Richardson bias pilot).
+    A pure function of (cfg.seed, path, step), so a run restarted from its
+    state at step s with this source shifted by s steps continues the path
+    bit for bit.  Zeros in deterministic mode or at zero amplitude.
     """
     if cfg.mode == "deterministic" or cfg.noise_amplitude == 0.0:
         P = len(np.atleast_1d(path_ids))
         return np.zeros((P, cov.table.n_modes, 3), dtype=np.complex128)
     amp = cfg.noise_amplitude
-    if provider == "native":
-        if cfg.scheme == "em":
-            return noise_mod.wiener_block(cov, cfg.dt, cfg.seed, path_ids, step, amp)
-        return noise_mod.ou_block(cov, cfg.dt, cfg.seed, path_ids, step, cfg.nu, amp)
-    if provider == "coupled-coarse":
-        fine_dt = cfg.dt / 2.0
-        if cfg.scheme == "em":
-            g1 = noise_mod.wiener_block(cov, fine_dt, cfg.seed, path_ids, 2 * step, amp)
-            g2 = noise_mod.wiener_block(cov, fine_dt, cfg.seed, path_ids, 2 * step + 1, amp)
-            return g1 + g2
-        g1 = noise_mod.ou_block(cov, fine_dt, cfg.seed, path_ids, 2 * step, cfg.nu, amp)
-        g2 = noise_mod.ou_block(cov, fine_dt, cfg.seed, path_ids, 2 * step + 1, cfg.nu, amp)
-        half_decay = ou_decay(cov, fine_dt, cfg.nu)
-        return half_decay[None, :, None] * g1 + g2
-    raise ValueError(f"unknown noise provider {provider!r}")
+    if cfg.scheme == "em":
+        return noise_mod.wiener_block(cov, cfg.dt, cfg.seed, path_ids, step, amp)
+    return noise_mod.ou_block(cov, cfg.dt, cfg.seed, path_ids, step, cfg.nu, amp)
+
+
+def coupled_coarse_noise(cfg: SimConfig, cov: CovarianceSpec, path_ids, step: int) -> np.ndarray:
+    """One step at cfg.dt composed from the fine steps 2 step and 2 step + 1 at
+    cfg.dt / 2, so a coarse path is pathwise coupled to its fine twin (the
+    Richardson bias pilot)."""
+    fine = replace(cfg, dt=cfg.dt / 2.0)
+    g1 = _noise_block(fine, cov, path_ids, 2 * step)
+    g2 = _noise_block(fine, cov, path_ids, 2 * step + 1)
+    if cfg.scheme == "em":
+        return g1 + g2
+    return ou_decay(cov, fine.dt, cfg.nu)[None, :, None] * g1 + g2
 
 
 # -- trajectory records --------------------------------------------------------
@@ -376,17 +376,22 @@ def _step_paths(cfg: SimConfig, tile: int, states: tuple, step_tile,
         map_tiles(run, P, tile, threaded)
 
 
-def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
-                 noise_provider: str = "native", keep_final: bool = True,
-                 keep_series: bool = False) -> EnsembleRecord:
+def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(), noise=None,
+                 keep_final: bool = True, keep_series: bool = False) -> EnsembleRecord:
     """Integrate an ensemble of paths, tracking the martingale-problem functionals.
 
-    phis: sequence of TestFunction-like objects exposing .coeffs, .a_coeffs
-    and optionally .name.  The record is allocated once and each CHUNK of
-    paths steps in place in its rows of rec.final (or of a chunk array with
-    keep_final=False).  Results are independent of the chunking because
-    every path's arithmetic touches only its own slice.
+    This is the one stepping engine: the public `step`, the control replay
+    and build_control's free drift are runs of it too.  phis: sequence of
+    TestFunction-like objects exposing .coeffs, .a_coeffs and optionally
+    .name.  noise(cfg, cov, path_ids, step) gives each step's increments
+    ((P, K, 3), or None for none); _noise_block when not given, looked up
+    per call so a wrapper set on this module applies.  The record is
+    allocated once and each CHUNK of paths steps in place in its rows of
+    rec.final (or of a chunk array with keep_final=False).  Results are
+    independent of the chunking because every path's arithmetic touches
+    only its own slice.
     """
+    noise = noise or _noise_block
     sch = Scheme(cfg, np.complex128)
     path_ids = np.asarray(path_ids, dtype=np.int64)
     P, S, K = path_ids.size, cfg.n_steps, sch.tab.n_modes
@@ -413,18 +418,19 @@ def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(),
         rows = slice(lo, min(lo + CHUNK, P))
         u = rec.final[rows] if keep_final else np.empty((rows.stop - lo, K, 3), np.complex128)
         u[:] = 0.0 if x0 is None else x0 if x0.ndim == 2 else x0[rows]
-        _run_chunk(sch, rec, rows, u, phis, noise_provider)
+        _run_chunk(sch, rec, rows, u, phis, noise)
         del u   # so the next chunk steps without this one's states
     return rec
 
 
 def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, u: np.ndarray, phis,
-               noise_provider: str) -> None:
+               noise) -> None:
     """Integrate the record's rows `chunk` from their start states u, in place.
 
-    A path tile's step runs B, its noise, the step, the M^phi increments,
-    the blow-up census and the norms and <u, phi> of its new states, writing
-    only its own rows of u and of the record.  The running integrals follow
+    A path tile's step runs B, its increments from the noise source, the
+    step, the M^phi increments, the blow-up census and the norms and
+    <u, phi> of its new states, writing only its own rows of u and of the
+    record.  The running integrals follow
     from the norms afterwards.
     """
     cfg = sch.cfg
@@ -447,7 +453,7 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, u: np.ndarray, ph
     def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
         (ut,), (un,) = now, nxt
         b = b_self_batch(ut, sch.tab, sch.grid) if cfg.mode != "stokes" else None
-        g = _noise_block(cfg, sch.cov, ids[rows], s, noise_provider)
+        g = noise(cfg, sch.cov, ids[rows], s)
         sch.advance(ut, b, sch.chi(w2[rows, s]), g, out=un)
         if mphi is not None:
             du = un - ut
@@ -474,23 +480,17 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, u: np.ndarray, ph
 
 
 def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -> SpectralField:
-    """One scheme step of a single state, with the given noise increment.
-
-    Matches the ensemble engine's arithmetic exactly (same scheme, kernels
-    and cutoff evaluation); deterministic/stokes modes ignore/skip the noise
-    and advection accordingly.
-    """
-    sch = Scheme(cfg, np.complex128)
-    uc = u.coeffs[None]
-    b = b_self_batch(uc, sch.tab, sch.grid) if cfg.mode != "stokes" else None
-    # zero noise is added, not skipped, as the engine adds its zero noise block
-    g = np.zeros_like(uc)
-    if noise is not None and cfg.mode != "deterministic":
+    """One scheme step of a single state: a one-step engine run driven by the
+    given noise increment, or by zeros when it is None or the mode is
+    deterministic (added, as the engine adds its zero noise block)."""
+    if noise is None or cfg.mode == "deterministic":
+        g = np.zeros((1,) + u.coeffs.shape, dtype=np.complex128)
+    else:
         g = noise.coeffs[None]
-    out = sch.advance(uc, b, sch.chi(_norm_sq(uc, sch.w_w)), g)
-    if not np.isfinite(out).all():
+    rec = run_ensemble(replace(cfg, t_end=cfg.dt), [0], x0=u.coeffs, noise=lambda *_: g)
+    if rec.blown[0]:
         raise BlowupError(0, -1)
-    return SpectralField(cfg.n, out[0])
+    return SpectralField(cfg.n, rec.final[0])
 
 
 # -- single-path front door ----------------------------------------------------
@@ -608,9 +608,9 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
 
 # -- controllability -----------------------------------------------------------
 
-def _control_scheme(cfg: SimConfig, R: float, T: float) -> Scheme:
+def _control_config(cfg: SimConfig, R: float, T: float) -> SimConfig:
     """The forward-Euler (em) cut-off dynamics at level R over horizon T."""
-    return Scheme(replace(cfg, t_end=T, scheme="em", mode="cutoff", r=R), np.complex128)
+    return replace(cfg, t_end=T, scheme="em", mode="cutoff", r=R)
 
 
 def _euler_drift(sch: Scheme, u: np.ndarray, g: np.ndarray | None) -> np.ndarray:
@@ -621,7 +621,8 @@ def _euler_drift(sch: Scheme, u: np.ndarray, g: np.ndarray | None) -> np.ndarray
 
 def solve_controlled(x: SpectralField, w_increments: np.ndarray, R: float,
                      cfg: SimConfig) -> EnsembleRecord:
-    """Forward-Euler cutoff dynamics driven by control increments.
+    """Forward-Euler cutoff dynamics driven by control increments: one engine
+    run whose noise at step s is w_increments[s], as a one-path record.
 
     The step matches build_control's residual definition, so replaying a
     constructed control reproduces the designed trajectory to roundoff.
@@ -630,61 +631,43 @@ def solve_controlled(x: SpectralField, w_increments: np.ndarray, R: float,
     """
     if w_increments.shape[0] != cfg.n_steps:
         raise ValueError("control increments must cover every step")
-    sch = _control_scheme(cfg, R, cfg.t_end)
-    S = cfg.n_steps
-    u = x.coeffs[None, :, :].astype(np.complex128)
-    h2 = np.empty(S + 1); v2 = np.empty(S + 1); w2 = np.empty(S + 1)
-    series = np.empty((S + 1, sch.tab.n_modes, 3), dtype=np.complex128)
-    blown, blow_step = False, -1
-    for s in range(S + 1):
-        h2[s], v2[s], w2[s] = (a[0] for a in _norm_sq(u, None, sch.lam, sch.w_w))
-        series[s] = u[0]
-        if s == S:
-            break
-        u = _euler_drift(sch, u, w_increments[None, s])
-        if not np.isfinite(u).all() and not blown:   # censused once, continues as NaN
-            blown, blow_step = True, s + 1
-            u[:] = np.nan
-    return EnsembleRecord(cfg=cfg, path_ids=None, times=np.arange(S + 1) * cfg.dt,
-                          h2=h2, v2=v2, w2=w2,
-                          int_v2=np.concatenate([[0.0], np.cumsum(v2[:-1]) * cfg.dt]),
-                          int_h2nm2_v2={}, int_h2nm2={}, sigma_sq=sch.cov.sigma_sq_total,
-                          phi_names=(), blown=blown, blow_step=blow_step, series=series)
+    return run_ensemble(_control_config(cfg, R, cfg.t_end), [0], x0=x.coeffs, keep_series=True,
+                        noise=lambda c, cov, ids, s: w_increments[None, s]).path(0)
 
 
 def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
                   cfg: SimConfig):
     """Steer x to y through the cutoff dynamics: drift freely, then interpolate.
 
-    Leg one runs the uncontrolled equation until a time T* with the W-ball
-    constraint intact; leg two replaces the trajectory by the line segment to
-    y and defines the control as the integrated residual.  Returns
+    Leg one is an engine run of the uncontrolled equation (no noise) for
+    half the horizon; it hands over at a time T* with the W-ball constraint
+    intact.  Leg two replaces the trajectory by the line segment to y and
+    defines the control as the integrated residual.  Nonfinite or too large
+    |x|_W^2, |y|_W^2 or designed states raise ControlError.  Returns
     (w_increments (S, K, 3), designed_series (S+1, K, 3), info dict).
     """
-    sch = _control_scheme(cfg, R, T)
+    ctl = _control_config(cfg, R, T)
+    sch = Scheme(ctl, np.complex128)
     n_modes, w_w = sch.tab.n_modes, sch.w_w
-    if _norm_sq(x.coeffs[None], w_w)[0] > R / 2 + 1e-12:
-        raise ControlError("|x|_W^2 exceeds R/2")
-    if _norm_sq(y.coeffs[None], w_w)[0] > R / 2 + 1e-12:
-        raise ControlError("|y|_W^2 exceeds R/2")
+    # written as not (... <= ...), so that NaN fails them too
+    if not _norm_sq(x.coeffs[None], w_w)[0] <= R / 2 + 1e-12:
+        raise ControlError("|x|_W^2 exceeds R/2 or is not finite")
+    if not _norm_sq(y.coeffs[None], w_w)[0] <= R / 2 + 1e-12:
+        raise ControlError("|y|_W^2 exceeds R/2 or is not finite")
     S = int(round(T / cfg.dt))
     if abs(S * cfg.dt - T) > 1e-9 or S < 2:
         raise ControlError("horizon must be an integer (>= 2) multiple of dt")
 
     # leg one: uncontrolled for S // 2 steps or, if the drift leaves the
-    # W-ball at step s first, for half of those s steps
+    # W-ball first at step s + 1, for half of those s steps
+    free = run_ensemble(replace(ctl, t_end=(S // 2) * cfg.dt), [0], x0=x.coeffs,
+                        noise=lambda *_: None, keep_final=False, keep_series=True)
+    leg, exits = free.series[0], np.flatnonzero(free.w2[0, 1:] > R)
     t_star_idx = S // 2
-    u = x.coeffs[None, :, :].astype(np.complex128)
-    leg = np.empty((t_star_idx + 1, n_modes, 3), dtype=np.complex128)
-    leg[0] = u[0]
-    for s in range(t_star_idx):
-        u = _euler_drift(sch, u, None)
-        leg[s + 1] = u[0]
-        if _norm_sq(u, w_w)[0] > R:
-            if s == 0:
-                raise ControlError("uncontrolled leg exits the W-ball immediately")
-            t_star_idx = max(s // 2, 1)
-            break
+    if exits.size:
+        if exits[0] == 0:
+            raise ControlError("uncontrolled leg exits the W-ball immediately")
+        t_star_idx = max(int(exits[0]) // 2, 1)
 
     designed = np.empty((S + 1, n_modes, 3), dtype=np.complex128)
     designed[:t_star_idx + 1] = leg[:t_star_idx + 1]
@@ -701,7 +684,7 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
         hi = min(lo + sch.tile, S)
         w_inc[lo:hi] = designed[lo + 1:hi + 1] - _euler_drift(sch, designed[lo:hi], None)
     sup_w2 = float(_norm_sq(designed, w_w).max())
-    if sup_w2 > R * (1.0 + 1e-12):
+    if not sup_w2 <= R * (1.0 + 1e-12):
         raise ControlError(f"designed path leaves the W-ball: sup |u|_W^2 = {sup_w2:.3g} > {R}")
     info = dict(t_star=t_star_idx * cfg.dt, sup_w2=sup_w2, steps=S)
     return w_inc, designed, info
@@ -792,7 +775,7 @@ def coupled_bias_pilot(cfg: SimConfig, path_ids, phis=()):
     variance.  Returns (coarse_record, fine_record).
     """
     fine_cfg = replace(cfg, dt=cfg.dt / 2.0)
-    coarse = run_ensemble(cfg, path_ids, phis=phis, noise_provider="coupled-coarse",
+    coarse = run_ensemble(cfg, path_ids, phis=phis, noise=coupled_coarse_noise,
                           keep_final=False)
     fine = run_ensemble(fine_cfg, path_ids, phis=phis, keep_final=False)
     return coarse, fine

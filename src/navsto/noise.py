@@ -8,10 +8,10 @@ sigma_k = q0 lam_k^(-3/4 - alpha0).
 Every Gaussian draw comes from a Philox counter keyed by
 (seed, path) with the counter encoding (kind, step); within one draw the
 modes fill a fixed canonical layout.  Any path segment can therefore be
-regenerated bitwise in isolation, which is what makes paired-run tests and
-parallel ensembles exact.  For the same reason a block of paths can fill and
-assemble its path tiles on the B kernels' thread pool (Salmon et al., SC'11,
-on counter-based streams) without changing a bit.
+regenerated bitwise in isolation, which is what makes paired-run tests,
+restarts and parallel ensembles exact (Salmon et al., SC'11, on
+counter-based streams): each path tile of an ensemble stepper draws its own
+rows' noise on its own thread without changing a bit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .nonlinearity import map_tiles, tile_rows
 from .spectral import ModeTable, SpectralField, mode_table
 
 ALPHA0_MIN = 1.0 / 6.0
@@ -93,56 +92,37 @@ def path_generator(seed: int, path_id: int, step: int, kind: int) -> Generator:
     return _stream.gen
 
 
-def _noise_tile(n_modes: int) -> int:
-    """Paths per noise tile: one path's (K, 3) complex output sets the budget."""
-    return tile_rows(n_modes * 3 * np.dtype(np.complex128).itemsize)
-
-
 def _mode_gaussians(cov: CovarianceSpec, scale: np.ndarray, seed: int,
                     path_ids, step: int, kind: int) -> np.ndarray:
     """Complex mode coefficients with E|c_{k,a}|^2 = scale_k^2, shape (P, K, 2).
 
-    Tiles of paths fill on the B kernels' tile pool; each path draws from its
-    own stream and each tile scales its own rows, so the bytes depend on
-    neither the tile size nor the thread count.
+    Each path draws from its own stream, so the bytes of a row depend on
+    nothing else in the batch.
     """
     tab = cov.table
     path_ids = np.atleast_1d(np.asarray(path_ids, dtype=np.int64))
-    P, K = path_ids.shape[0], tab.n_modes
-    g = np.empty((P, K, 2, 2))      # (path, mode, polarization, real/imaginary)
-    s = (scale / np.sqrt(2.0))[:, None, None]
-    tile = _noise_tile(K)
-
-    def fill(lo: int) -> None:
-        for i in range(lo, min(lo + tile, P)):
-            path_generator(seed, int(path_ids[i]), step, kind).standard_normal(out=g[i])
-        g[lo:lo + tile] *= s
-
-    map_tiles(fill, P, tile)
+    g = np.empty((path_ids.shape[0], tab.n_modes, 2, 2))   # (path, mode, polarization, re/im)
+    for i, p in enumerate(path_ids.tolist()):
+        path_generator(seed, p, step, kind).standard_normal(out=g[i])
+    g *= (scale / np.sqrt(2.0))[:, None, None]
     return g.view(np.complex128)[..., 0]
 
 
 def _assemble(cov: CovarianceSpec, c: np.ndarray) -> np.ndarray:
     """Combine polarized coefficients (P, K, 2) into field coefficients (P, K, 3).
 
-    c_0 p_0 + c_1 p_1 per component over path tiles on the tile pool.  The
-    polarizations p_a are real, so each complex product has the bits of the
-    real products of its parts.  Adding +0 last makes the sum start from +0,
-    as einsum's does: it turns -0 into +0 and leaves every other value as is.
+    c_0 p_0 + c_1 p_1 per component.  The polarizations p_a are real, so
+    each complex product has the bits of the real products of its parts.
+    Adding +0 last makes the sum start from +0, as einsum's does: it turns
+    -0 into +0 and leaves every other value as is.
     """
     p0, p1 = cov.table.pol[:, 0, :], cov.table.pol[:, 1, :]
     out = np.empty(c.shape[:2] + (3,), dtype=c.dtype)
-    tile = _noise_tile(c.shape[1])
-
-    def run(lo: int) -> None:
-        ct = c[lo:lo + tile]
-        for j in range(3):
-            o = out[lo:lo + tile, :, j]
-            np.multiply(ct[:, :, 0], p0[:, j], out=o)
-            o += ct[:, :, 1] * p1[:, j]
-            o += 0.0
-
-    map_tiles(run, c.shape[0], tile)
+    for j in range(3):
+        o = out[:, :, j]
+        np.multiply(c[:, :, 0], p0[:, j], out=o)
+        o += c[:, :, 1] * p1[:, j]
+        o += 0.0
     return out
 
 

@@ -13,7 +13,7 @@ The pseudo-spectral kernels keep spectra in the dense (2N+1, 2N+1, N+1)
 rfft half-block and run padded transforms pruned to its non-zero lines
 (Bowman and Roberts, SIAM J. Sci. Comput. 33, 2011), with the bytes of the
 full-cube transforms.  Batches of paths run in cache-sized tiles on a thread
-pool that the noise block and the ensemble steppers share.
+pool that the ensemble steppers share.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ class PaddingError(ValueError):
 
 
 #: threads per top-level tiled call (-1: all cores, as in scipy.fft): the
-#: ensemble steppers run each scheme step with B, and the B kernels and the
-#: noise block each batch larger than one tile, as path tiles on this many
-#: threads; smaller B batches hand it to the FFT calls.  A call made from a
-#: tile-pool thread runs its tiles inline with one FFT thread, so a stepper's
+#: ensemble steppers run each scheme step with B, and the B kernels each
+#: batch larger than one tile, as path tiles on this many threads; smaller
+#: B batches hand it to the FFT calls.  A call made from a tile-pool thread
+#: runs its tiles inline with one FFT thread, so a stepper's
 #: tile can call the kernels without waiting on its own pool or
 #: oversubscribing the FFTs.  `navsto --workers` sets it for one run.  Output
 #: bytes depend on neither this setting nor the tile size, because every
@@ -239,14 +239,9 @@ def _divergence_form_contract(p_modes: np.ndarray, table: ModeTable) -> np.ndarr
 
 # -- path tiling ----------------------------------------------------------------
 
-def tile_rows(row_bytes: int) -> int:
-    """Rows of `row_bytes` each per tile: as many as fit within TILE_BYTES."""
-    return max(1, TILE_BYTES // row_bytes)
-
-
 def tile_paths(n_products: int, grid: int, itemsize: int) -> int:
     """Paths per tile: as many as keep n_products real grids within TILE_BYTES."""
-    return tile_rows(n_products * grid**3 * itemsize)
+    return max(1, TILE_BYTES // (n_products * grid**3 * itemsize))
 
 
 def _mark_pool_thread() -> None:

@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from navsto import dynamics, nonlinearity, spectral
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -42,3 +44,25 @@ def test_patches_install_and_restore():
     assert [s[0] for s in tracer.spans] == ["spectral.tables", "spectral.tables"]
     for (m, a), fn in originals.items():
         assert vars(importlib.import_module(f"navsto.{m}"))[a] is fn
+
+
+def test_traced_engine_runs_record_noise_and_stepper_spans():
+    # the engine looks its default noise source up per call: bound as a
+    # default argument, it would escape the wrapper and noise.block would
+    # read 0 in every traced run
+    spans = load_spans()
+    cfg = dynamics.SimConfig(n=2, dt=1e-4, t_end=3e-4, scheme="em", mode="cutoff", r=5.0,
+                             alpha0=0.75, q0=1.0, seed=3)
+    tracer = spans.Tracer()
+    with spans.Patches(tracer):
+        dynamics.run_ensemble(cfg, np.arange(3))
+    names = [s[0] for s in tracer.spans]
+    assert names.count("noise.block") == cfg.n_steps
+    assert "dynamics.stepper" in names
+    x = spectral.random_divfree_field(2, spectral.powerlaw_profile(3.0, 0.01), seed=4)
+    w_inc = np.zeros((cfg.n_steps,) + x.coeffs.shape, dtype=np.complex128)
+    tracer = spans.Tracer()
+    with spans.Patches(tracer):
+        dynamics.solve_controlled(x, w_inc, 5.0, cfg)
+    # the replay's own span and the engine's chunk inside it
+    assert [s[0] for s in tracer.spans].count("dynamics.stepper") == 2

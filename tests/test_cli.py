@@ -250,3 +250,15 @@ def test_workers_flag_sets_tile_threads_for_one_run(tmp_path, monkeypatch):
     assert names == sorted(f.name for f in b.iterdir() if f.name != "manifest.json")
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("seeds", ["5..3", "a..b", "1.5", "0..2..4", ""])
+def test_bad_seed_range_is_rejected_before_any_output(tmp_path, capsys, seeds):
+    # an empty range would run nothing and still pass
+    cfgp = write_cfg(tmp_path, SIM_CFG)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", cfgp, "--seeds", seeds,
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

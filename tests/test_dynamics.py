@@ -327,6 +327,18 @@ class TestControl:
         with pytest.raises(dyn.ControlError):
             dyn.build_control(big, big, cfg.t_end, 60.0, cfg)
 
+    @pytest.mark.parametrize("which", ["x", "y"])
+    def test_nonfinite_end_point_is_rejected(self, which):
+        # a NaN compares False with every bound, so a guard written as
+        # w2 > bound would let it through to a NaN control
+        cfg = self._cfg()
+        x, y = self._fields()
+        bad = sp.SpectralField(4, (x if which == "x" else y).coeffs.copy())
+        bad.coeffs[3, 1] = np.nan
+        ends = (bad, y) if which == "x" else (x, bad)
+        with pytest.raises(dyn.ControlError, match=f"\\|{which}\\|_W"):
+            dyn.build_control(*ends, cfg.t_end, 60.0, cfg)
+
 
     @pytest.mark.parametrize("nu, exit_step", [(0.01, 80), (0.001, 78)])
     def test_free_leg_hands_over_halfway_to_the_ball_exit(self, nu, exit_step):
@@ -431,6 +443,30 @@ def test_public_step_matches_engine(scheme, mode):
     u1 = dyn.step(x0, cfg, sp.SpectralField(3, g[0]))
     rec = dyn.run_ensemble(cfg, [0], x0=x0.coeffs, keep_final=True)
     assert u1.coeffs.tobytes() == rec.final[0].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["full", "cutoff"])
+@pytest.mark.parametrize("scheme", ["em", "expo-em"])
+def test_restart_with_shifted_noise_continues_bitwise(scheme, mode):
+    # the Markov cocycle of the truncated system: the path from x over S
+    # steps is the path from its state u_s over S - s steps, driven by the
+    # noise shifted by s steps
+    dt, S = (5e-4 if scheme == "em" else 1e-3), 8
+    cfg = dyn.SimConfig(n=4, dt=dt, t_end=S * dt, scheme=scheme, mode=mode,
+                        r=12.0 if mode == "cutoff" else None, alpha0=0.25, q0=30.0, seed=140)
+    ids = np.arange(60)
+    rec = dyn.run_ensemble(cfg, ids, keep_series=True)
+    if mode == "cutoff":   # the cut-off acts on some path-steps and not on others
+        chi = dyn.chi_r(rec.w2[:, :-1], cfg.r)
+        assert (chi < 1.0).any() and (chi == 1.0).any()
+    for s in (1, 4, 7):
+        def shifted(c, cov, p, k, s=s):
+            return dyn._noise_block(c, cov, p, k + s)
+
+        rest = dyn.run_ensemble(replace(cfg, t_end=(S - s) * dt), ids, x0=rec.series[:, s],
+                                noise=shifted)
+        assert rest.final.tobytes() == rec.final.tobytes(), s
+        assert rest.w2.tobytes() == rec.w2[:, s:].tobytes(), s
 
 
 def test_step_zero_state_zero_noise():
@@ -602,7 +638,7 @@ def ensemble_case(name):
         return cfg, tiled_starts(18.0, 25.0, 0.25), {}
     if name == "coupled-coarse":
         cfg = dyn.SimConfig(dt=0.01, t_end=0.03, scheme="expo-em", **base)
-        return cfg, tiled_starts(1.0, 60.0, 0.25), dict(noise_provider="coupled-coarse")
+        return cfg, tiled_starts(1.0, 60.0, 0.25), dict(noise=dyn.coupled_coarse_noise)
     if name == "stokes":   # no B: the tiles run in order on the calling thread
         cfg = dyn.SimConfig(dt=0.01, t_end=0.03, scheme="expo-em", mode="stokes", **base)
         return cfg, tiled_starts(1.0, 60.0, 0.25), dict(keep_series=True)

@@ -164,8 +164,11 @@ def test_build_control_and_replay_n4():
     w_inc, designed, info = dyn.build_control(x, y, cfg.t_end, 60.0, cfg)
     rec = dyn.solve_controlled(x, w_inc, 60.0, cfg)
     assert digest(w_inc, designed, np.array([info["t_star"], info["sup_w2"]]),
-                  rec.series, rec.h2, rec.v2, rec.w2, rec.int_v2) == (
-        "ffc6bc5f07634d58337dcfa172413cd57db2a2c108ff45a5853b357c35121491")
+                  rec.series, rec.h2, rec.v2, rec.w2) == (
+        "c33442406105845d9384642178b422f0ebb47115f4a4f5d01492bc759b285335")
+    # the replay's quadrature is the engine's cumsum(dt v2), not cumsum(v2) dt
+    assert digest(rec.int_v2) == (
+        "1d4b7da7f29b9b2933744d25a7d874064cbac36d8a1b44ee3ce16861fdf27a05")
 
 
 def test_simulate_path_csv_with_phis(tmp_path):

@@ -202,15 +202,15 @@ class TestPathTiling:
 
 
 def test_nested_tiled_calls_run_inline(fft_workers):
-    # a map_tiles task calls the tiled kernels on batches of several tiles; on
-    # the pool's threads they run inline, so the pool never waits on itself
+    # a map_tiles task calls the tiled B kernels on a batch of several tiles,
+    # and the noise block on as many paths; on the pool's threads the kernels
+    # run inline, so the pool never waits on itself
     n, dt, seed, step = 4, 1e-3, 33, 2
     tab, grid = sp.mode_table(n), nl.dealias_grid(n)
     cov = ns.build_covariance(0.75, 30.0, n)
     p_b = 2 * nl.tile_paths(6, grid, 8) + 3
-    p_g = 2 * ns._noise_tile(tab.n_modes) + 3
     u = np.array([random_field(n, 950 + i).coeffs for i in range(p_b)])
-    ids = np.arange(p_g)
+    ids = np.arange(p_b)
     expect = (nl.b_self_batch(u, tab, grid), ns.ou_block(cov, dt, seed, ids, step))
     fft_workers(2)
     got, on_pool = {}, {}
