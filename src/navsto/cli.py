@@ -125,13 +125,17 @@ def parse_config(path) -> dict:
 
 
 def sim_config(cfg: dict, overrides: dict | None = None) -> dyn.SimConfig:
+    """The SimConfig of a parsed config; its rejections are ConfigErrors."""
     c = dict(cfg)
     c.update(overrides or {})
-    return dyn.SimConfig(
-        n=c["resolution"], nu=c["nu"], dt=c["dt"], t_end=c["horizon"],
-        scheme=c["scheme"], mode=c["mode"], r=c["cutoff_r"], alpha0=c["alpha0"],
-        q0=c["q0"], seed=c["seed"], snapshot_stride=c["snapshot_stride"],
-        n_max=c["n_max"], pad_factor=c["pad_factor"])
+    try:
+        return dyn.SimConfig(
+            n=c["resolution"], nu=c["nu"], dt=c["dt"], t_end=c["horizon"],
+            scheme=c["scheme"], mode=c["mode"], r=c["cutoff_r"], alpha0=c["alpha0"],
+            q0=c["q0"], seed=c["seed"], snapshot_stride=c["snapshot_stride"],
+            n_max=c["n_max"], pad_factor=c["pad_factor"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_floats(text: str) -> list:
@@ -168,9 +172,7 @@ def manifest_hash(subcommand: str, cfg: dict, seeds) -> str:
 
 def _out_dir(args, subcommand: str, cfg: dict, seeds) -> Path:
     root = Path(args.out or os.environ.get("NAVSTO_OUT_ROOT", "navsto-out"))
-    d = root / f"{subcommand}-{manifest_hash(subcommand, cfg, seeds)}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    return root / f"{subcommand}-{manifest_hash(subcommand, cfg, seeds)}"
 
 
 def _grid_times(cfg: dict) -> list:
@@ -468,22 +470,27 @@ def main(argv=None) -> int:
     except ValueError:
         ap.error(f"--seeds must be one integer or a range a..b with a <= b, not {args.seeds!r}")
 
+    saved = nl.FFT_WORKERS   # restored on return, so an in-process caller keeps its setting
+    made = None              # the output directory, when this run made it
     try:
         cfg = parse_config(args.config)
+        if args.dt_override is not None:
+            cfg["dt"] = args.dt_override
+        if args.scheme is not None:
+            cfg["scheme"] = args.scheme
+        t0 = time.time()
+        out = _out_dir(args, args.subcommand, cfg, seeds)
+        if not out.exists():
+            out.mkdir(parents=True)
+            made = out
+        if args.workers is not None:
+            nl.set_fft_workers(args.workers)
+        artifacts, verdicts, blowups = _HANDLERS[args.subcommand](args, cfg, np.array(seeds), out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        if made is not None and not any(made.iterdir()):
+            made.rmdir()
         return 1
-    if args.dt_override is not None:
-        cfg["dt"] = args.dt_override
-    if args.scheme is not None:
-        cfg["scheme"] = args.scheme
-    t0 = time.time()
-    out = _out_dir(args, args.subcommand, cfg, seeds)
-    saved = nl.FFT_WORKERS   # restored on return, so an in-process caller keeps its setting
-    if args.workers is not None:
-        nl.set_fft_workers(args.workers)
-    try:
-        artifacts, verdicts, blowups = _HANDLERS[args.subcommand](args, cfg, np.array(seeds), out)
     finally:
         nl.set_fft_workers(saved)
     return _finish(out, args.subcommand, cfg, seeds, artifacts, verdicts, t0, blowups)

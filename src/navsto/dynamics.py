@@ -28,9 +28,8 @@ from .nonlinearity import b_self_batch, dealias_grid, map_tiles, tile_paths
 from .nonlinearity import b_linpair_batch  # noqa: F401
 from .noise import CovarianceSpec, build_covariance, ou_decay, ou_variance
 from .spectral import SpectralField, mode_table, pair_with, theta
-
-#: paths stepped at a time; bounds an ensemble's chunk arrays (bytes do not depend on it)
-CHUNK = 1000
+# bound here as _norm_sq, the name perfbench/spans.py wraps for the norms span
+from .spectral import weighted_norm_sq as _norm_sq
 
 SCHEMES = ("em", "expo-em")
 MODES = ("full", "cutoff", "deterministic", "stokes")
@@ -241,18 +240,6 @@ def stopping_time_tau_r_series(w2: np.ndarray, times: np.ndarray, R: float) -> n
 
 # -- the scheme ----------------------------------------------------------------
 
-def _norm_sq(coeffs: np.ndarray, *weights):
-    """Per-path 2 sum_k w_k |u_k|^2 for each weight vector w (None: unweighted).
-
-    |u_k|^2 is formed once and shared by all the sums.  With at most one
-    weight the sum itself comes back, otherwise a tuple in the given order.
-    """
-    mag = (coeffs.real**2 + coeffs.imag**2).sum(axis=-1)
-    sums = tuple(2.0 * (mag if w is None else mag * w).sum(axis=-1)
-                 for w in weights or (None,))
-    return sums[0] if len(sums) == 1 else sums
-
-
 class Scheme:
     """The em or expo-em step of one SimConfig for states of one complex dtype.
 
@@ -345,35 +332,44 @@ class Scheme:
 
 # -- the batched stepper -------------------------------------------------------
 
-def _step_paths(cfg: SimConfig, tile: int, states: tuple, step_tile,
-                record=lambda s, rows, now: None) -> None:
-    """Step the (P, K, 3) arrays `states` in place cfg.n_steps times.
+def _step_paths(cfg: SimConfig, tile: int, starts: tuple, step_tile, record,
+                finals: tuple) -> None:
+    """Step the paths of the (P, K, 3) start sets `starts` cfg.n_steps times.
 
-    Each step is one map_tiles pass over path tiles of `tile` rows that
-    touch only their own rows: step_tile(s, rows, now, nxt) writes step
-    s + 1 of the rows (now) into nxt, one-tile buffers its thread keeps for
-    the call (fresh ones would make glibc trim and fault a tile's memory
-    back in each time; see nonlinearity._products_buffer), which are copied
-    back before record(s + 1, rows, now) runs on the same thread.  record(0,
-    ...) first runs on the start states.  Stokes tiles (no B) run in order
-    on this thread: their per-path noise draws hold the GIL.
+    One map_tiles pass over path tiles of `tile` rows: each path reads only
+    its own start and noise (the Markov cocycle), so a tile runs its whole
+    path on one thread.  It copies its rows of starts (arrays or broadcast
+    views, of the state dtype) into one of two one-tile buffer sets its
+    thread keeps for the call (fresh ones would make glibc trim and fault a
+    tile's memory back in each time; see nonlinearity._products_buffer) and
+    runs record(0, rows, now).  Each step_tile(s, rows, now, nxt) writes
+    step s + 1 into the other set; the sets swap and record(s + 1, rows,
+    now) runs.  The last states go to the tile's rows of each finals array
+    that is not None.  Stokes tiles (no B) run in order on this thread:
+    their per-path noise draws hold the GIL.
     """
-    P, threaded = len(states[0]), cfg.mode != "stokes"
-    spare = threading.local()
-    map_tiles(lambda lo: record(0, slice(lo, lo + tile), tuple(a[lo:lo + tile] for a in states)),
-              P, tile, threaded)
-    for s in range(cfg.n_steps):
-        def run(lo: int) -> None:
-            rows = slice(lo, lo + tile)
-            now = tuple(a[rows] for a in states)
-            if not hasattr(spare, "new"):
-                spare.new = tuple(np.empty_like(a[:tile]) for a in states)
-            new = tuple(b[:len(a)] for a, b in zip(now, spare.new))
-            step_tile(s, rows, now, new)
-            for a, b in zip(now, new):
-                a[...] = b
+    P = len(starts[0])
+    kept = threading.local()
+
+    def run(lo: int) -> None:
+        rows = slice(lo, lo + tile)
+        if not hasattr(kept, "sets"):
+            kept.sets = [tuple(np.empty((min(tile, P),) + a.shape[1:], a.dtype) for a in starts)
+                         for _ in range(2)]
+        m = min(tile, P - lo)
+        now, nxt = (tuple(b[:m] for b in bufs) for bufs in kept.sets)
+        for b, a in zip(now, starts):
+            b[...] = a[rows]
+        record(0, rows, now)
+        for s in range(cfg.n_steps):
+            step_tile(s, rows, now, nxt)
+            now, nxt = nxt, now
             record(s + 1, rows, now)
-        map_tiles(run, P, tile, threaded)
+        for f, a in zip(finals, now):
+            if f is not None:
+                f[rows] = a
+
+    map_tiles(run, P, tile, cfg.mode != "stokes")
 
 
 def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(), noise=None,
@@ -386,10 +382,10 @@ def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(), noise=None,
     .name.  noise(cfg, cov, path_ids, step) gives each step's increments
     ((P, K, 3), or None for none); _noise_block when not given, looked up
     per call so a wrapper set on this module applies.  The record is
-    allocated once and each CHUNK of paths steps in place in its rows of
-    rec.final (or of a chunk array with keep_final=False).  Results are
-    independent of the chunking because every path's arithmetic touches
-    only its own slice.
+    allocated once and filled by one _run_chunk call over all paths, whose
+    tiles write their final states straight into rec.final (none are held
+    with keep_final=False).  Results are independent of the tiling because
+    every path's arithmetic touches only its own slice.
     """
     noise = noise or _noise_block
     sch = Scheme(cfg, np.complex128)
@@ -414,33 +410,24 @@ def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(), noise=None,
         x0 = np.asarray(x0, dtype=np.complex128)
         if not (x0.ndim == 2 or x0.ndim == 3 and len(x0) == P):
             raise ValueError("x0 must be (K,3) or (P,K,3)")
-    for lo in range(0, P, CHUNK):
-        rows = slice(lo, min(lo + CHUNK, P))
-        u = rec.final[rows] if keep_final else np.empty((rows.stop - lo, K, 3), np.complex128)
-        u[:] = 0.0 if x0 is None else x0 if x0.ndim == 2 else x0[rows]
-        _run_chunk(sch, rec, rows, u, phis, noise)
-        del u   # so the next chunk steps without this one's states
+    start = np.broadcast_to(np.complex128(0) if x0 is None else x0, (P, K, 3))
+    _run_chunk(sch, rec, start, phis, noise)
     return rec
 
 
-def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, u: np.ndarray, phis,
-               noise) -> None:
-    """Integrate the record's rows `chunk` from their start states u, in place.
+def _run_chunk(sch: Scheme, rec: EnsembleRecord, x0: np.ndarray, phis, noise) -> None:
+    """Integrate every path of the record from its start state in x0 (P, K, 3).
 
-    A path tile's step runs B, its increments from the noise source, the
-    step, the M^phi increments, the blow-up census and the norms and
-    <u, phi> of its new states, writing only its own rows of u and of the
-    record.  The running integrals follow
-    from the norms afterwards.
+    Named for perfbench/spans.py, which wraps it as the ensemble stepper's
+    span.  A path tile's step runs B, its increments from the noise source,
+    the step, the M^phi increments, the blow-up census and the norms and
+    <u, phi> of its new states, writing only its own rows of the record;
+    after its last step the tile forms its rows' running integrals.
     """
     cfg = sch.cfg
-    dt, nu = cfg.dt, cfg.nu
-    ids = rec.path_ids[chunk]
-    h2, v2, w2 = rec.h2[chunk], rec.v2[chunk], rec.w2[chunk]
-    mphi = None if rec.mphi is None else rec.mphi[:, chunk]
-    proj = None if rec.proj_phi is None else rec.proj_phi[:, chunk]
-    blown, blow_step = rec.blown[chunk], rec.blow_step[chunk]
-    series = None if rec.series is None else rec.series[chunk]
+    dt, nu, S = cfg.dt, cfg.nu, cfg.n_steps
+    ids, h2, v2, w2, mphi, proj = rec.path_ids, rec.h2, rec.v2, rec.w2, rec.mphi, rec.proj_phi
+    blown, blow_step, series = rec.blown, rec.blow_step, rec.series
 
     def record(s: int, rows: slice, states: tuple) -> None:
         v, = states
@@ -449,6 +436,15 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, u: np.ndarray, ph
             proj[j, rows, s] = pair_with(v, phi.coeffs)
         if series is not None:
             series[rows, s] = v
+        if s < S:
+            return
+        # left-endpoint quadrature of the running integrals: np.cumsum adds in
+        # step order, as a loop of int[s + 1] = int[s] + dt f[s] would
+        np.cumsum(dt * v2[rows, :-1], axis=1, out=rec.int_v2[rows, 1:])
+        for n in rec.int_h2nm2_v2:
+            hp = h2[rows, :-1] ** (n - 1)
+            np.cumsum(dt * hp * v2[rows, :-1], axis=1, out=rec.int_h2nm2_v2[n][rows, 1:])
+            np.cumsum(dt * hp, axis=1, out=rec.int_h2nm2[n][rows, 1:])
 
     def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
         (ut,), (un,) = now, nxt
@@ -469,14 +465,7 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, chunk: slice, u: np.ndarray, ph
             blow_step[rows][fresh] = s + 1
             un[fresh] = np.nan
 
-    _step_paths(cfg, sch.tile, (u,), step_tile, record)
-    # left-endpoint quadrature of the running integrals: np.cumsum adds in
-    # step order, as a loop of int[s + 1] = int[s] + dt f[s] would
-    np.cumsum(dt * v2[:, :-1], axis=1, out=rec.int_v2[chunk, 1:])
-    for n in rec.int_h2nm2_v2:
-        hp = h2[:, :-1] ** (n - 1)
-        np.cumsum(dt * hp * v2[:, :-1], axis=1, out=rec.int_h2nm2_v2[n][chunk, 1:])
-        np.cumsum(dt * hp, axis=1, out=rec.int_h2nm2[n][chunk, 1:])
+    _step_paths(cfg, sch.tile, (x0,), step_tile, record, (rec.final,))
 
 
 def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -> SpectralField:
@@ -520,12 +509,12 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
 
     Both members step through the same Scheme with the same noise; while
     |u|_W^2 <= R+1 the cutoff factor is exactly 1.0 and the two states must
-    agree bit for bit.  Each step is one map_tiles pass over B-sized path
-    tiles, and no work is done twice for a row the members share:
+    agree bit for bit.  Each path tile runs the pair's whole path, and no
+    work is done twice for a row the members share:
     - B runs once per distinct state: one b_self_batch call on a tile's full
-      states and its cutoff rows apart from them.  A cutoff row equal to its
-      full row (== also equates -0 and +0, which move no nonzero bit of B)
-      takes the full row's B.
+      states and, when some rows are apart, one on those cutoff rows.  A
+      cutoff row equal to its full row (== also equates -0 and +0, which
+      move no nonzero bit of B) takes the full row's B.
     - A cutoff row with the full row's bytes takes the full row's W-norm,
       and with chi exactly 1.0 also its stepped row.  1.0 b is b up to the
       sign of a zero, and adding the noise (never -0) leaves no zero signed.
@@ -549,12 +538,9 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
     path_ids = np.asarray(path_ids, dtype=np.int64)
     P = path_ids.size
 
-    uf = np.zeros((P, sch.tab.n_modes, 3), dtype=np.complex128)
-    if x0 is not None:
-        uf[:] = x0
-    uc = uf.copy()
-    if x0_cutoff is not None:
-        uc[:] = x0_cutoff
+    shape = (P, sch.tab.n_modes, 3)
+    x0 = np.complex128(0) if x0 is None else np.asarray(x0, dtype=np.complex128)
+    xc = x0 if x0_cutoff is None else np.asarray(x0_cutoff, dtype=np.complex128)
     w2f = np.empty((P, S + 1)); w2c = np.empty((P, S + 1))
     detected = np.full(P, S + 1, dtype=np.int64)  # step index of tau detection
     mismatch = np.zeros(P, dtype=np.int64)
@@ -585,17 +571,18 @@ def paired_full_cutoff(cfg: SimConfig, path_ids, R: float, x0=None,
         (f, c), (fn, cn) = now, nxt
         ap = apart[rows]
         g = _noise_block(full_cfg, sch.cov, path_ids[rows], s)
-        b = b_self_batch(np.concatenate([f, c[ap]]), sch.tab, sch.grid)
-        sch.advance(f, b[:len(f)], None, g, out=fn)
+        b = b_self_batch(f, sch.tab, sch.grid)
+        sch.advance(f, b, None, g, out=fn)
         chi = np.asarray(chi_r(w2c[rows, s], R))
         own = ~(same[rows] & (chi == 1.0))
         cn[~own] = fn[~own]
+        if ap.any():
+            b[ap] = b_self_batch(c[ap], sch.tab, sch.grid)
         if own.any():
-            bc = b[:len(f)].copy()
-            bc[ap] = b[len(f):]
-            cn[own] = sch.advance(c[own], bc[own], chi[own], g[own])
+            cn[own] = sch.advance(c[own], b[own], chi[own], g[own])
 
-    _step_paths(full_cfg, sch.tile, (uf, uc), step_tile, record)
+    _step_paths(full_cfg, sch.tile, (np.broadcast_to(x0, shape), np.broadcast_to(xc, shape)),
+                step_tile, record, ())
 
     times = np.arange(S + 1) * cfg.dt
     tau_f = stopping_time_tau_r_series(w2f, times, R)
@@ -676,9 +663,8 @@ def build_control(x: SpectralField, y: SpectralField, T: float, R: float,
                              + frac[:, None, None] * y.coeffs[None])
     designed[S] = y.coeffs
 
-    # leg two's residuals, one drift call per B tile of designed states: a
-    # single call on all of them would run on the tile pool, whose threads'
-    # malloc arenas then stay resident (+8% peak RSS at N=8)
+    # leg two's residuals, one drift call per B tile of designed states, so
+    # B's working set is one tile's, as in the steppers
     w_inc = np.zeros((S, n_modes, 3), dtype=np.complex128)
     for lo in range(t_star_idx, S, sch.tile):
         hi = min(lo + sch.tile, S)
@@ -710,30 +696,27 @@ def run_tangent_ensemble(cfg: SimConfig, x: np.ndarray, h: np.ndarray, path_ids,
     path_ids = np.asarray(path_ids, dtype=np.int64)
     cdtype = np.complex64 if precision == "single" else np.complex128
     final, bel_sum = np.empty((path_ids.size,) + x.shape, dtype=cdtype), np.zeros(path_ids.size)
-    for lo in range(0, path_ids.size, CHUNK):
-        rows = slice(lo, lo + CHUNK)
-        _tangent_chunk(cfg, x, h, path_ids[rows], precision, final[rows], bel_sum[rows])
+    _tangent_chunk(cfg, x, h, path_ids, precision, out=(final, None, bel_sum))
     return dict(final=final, bel_sum=bel_sum, n_steps=cfg.n_steps)
 
 
 def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray,
-                   precision: str = "double", u: np.ndarray | None = None,
-                   acc: np.ndarray | None = None):
-    """Final states u, final tangents y = Du h and BEL sums of the paths `ids`.
+                   precision: str = "double", out: tuple | None = None):
+    """Final states u, final tangents y = Du h and BEL sums acc of the paths `ids`.
 
-    u follows the engine's path bit for bit and y the exact Jacobian of its
-    steps, with chi' in cutoff mode, in one map_tiles pass per step over the
-    B pair's path tiles; u and acc ((P,) zeros) are made here unless given.
-    Single precision trades ~1e-7 relative state error (far below any
-    Monte-Carlo standard error) for about 1.6x throughput.
+    Named for perfbench/spans.py, which wraps it as the tangent span.  u
+    follows the engine's path bit for bit and y the exact Jacobian of its
+    steps, with chi' in cutoff mode, each path tile on one thread through the
+    B pair.  The tiles write into out = (u, y or None, acc ((P,) zeros)),
+    made here when not given, and returned.  Single precision trades ~1e-7
+    relative state error (far below any Monte-Carlo standard error) for
+    about 1.6x throughput.
     """
     cdtype = np.complex64 if precision == "single" else np.complex128
     sch = Scheme(cfg, cdtype)
     inv_var = (1.0 / scheme_step_variance(cfg, sch.cov)).astype(sch.lam.dtype)
-    if u is None:
-        u, acc = np.empty((ids.size,) + x.shape, dtype=cdtype), np.zeros(ids.size)
-    u[:] = x
-    y = np.broadcast_to(h, u.shape).astype(cdtype)
+    shape = (ids.size,) + x.shape
+    u, y, acc = out or (np.empty(shape, cdtype), np.empty(shape, cdtype), np.zeros(ids.size))
 
     def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
         (ut, yt), (un, yn) = now, nxt
@@ -744,7 +727,9 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
         acc[rows] += 2.0 * np.real(
             np.einsum("pkj,pkj,k->p", yn, np.conj(g), inv_var)).astype(np.float64)
 
-    _step_paths(cfg, tile_paths(12, sch.grid, sch.lam.itemsize), (u, y), step_tile)
+    starts = tuple(np.broadcast_to(np.asarray(a).astype(cdtype), shape) for a in (x, h))
+    _step_paths(cfg, tile_paths(12, sch.grid, sch.lam.itemsize), starts, step_tile,
+                lambda *_: None, (u, y))
     return u, y, acc
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .spectral import ModeTable, SpectralField, mode_table
+from .spectral import ModeTable, SpectralField, mode_table, weighted_norm_sq
 
 ALPHA0_MIN = 1.0 / 6.0
 
@@ -179,8 +179,7 @@ def q_power_apply(cov: CovarianceSpec, field: SpectralField, sign: float) -> Spe
 
 def q_form_sq(cov: CovarianceSpec, coeffs: np.ndarray) -> float:
     """|Q^(1/2) phi|_H^2 = 2 sum_k sigma_k^2 |phi_k|^2, exact in this basis."""
-    mag = (coeffs.real**2 + coeffs.imag**2).sum(axis=-1)
-    return float(2.0 * (cov.sigma**2 * mag).sum())
+    return float(weighted_norm_sq(coeffs, cov.sigma**2))
 
 
 def partial_traces(alpha0: float, q0: float, resolutions) -> list[tuple[int, float]]:

@@ -12,8 +12,9 @@ the direct route exists so the fast one never verifies itself.
 The pseudo-spectral kernels keep spectra in the dense (2N+1, 2N+1, N+1)
 rfft half-block and run padded transforms pruned to its non-zero lines
 (Bowman and Roberts, SIAM J. Sci. Comput. 33, 2011), with the bytes of the
-full-cube transforms.  Batches of paths run in cache-sized tiles on a thread
-pool that the ensemble steppers share.
+full-cube transforms.  The kernels do not tile their batches: the ensemble
+steppers call them on one cache-sized path tile at a time, from the thread
+pool here (`map_tiles`).
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ class PaddingError(ValueError):
     """Configured padding factor cannot dealias the quadratic product."""
 
 
-#: threads per top-level tiled call (-1: all cores, as in scipy.fft): the
-#: ensemble steppers run each scheme step with B, and the B kernels each
-#: batch larger than one tile, as path tiles on this many threads; smaller
-#: B batches hand it to the FFT calls.  A call made from a tile-pool thread
-#: runs its tiles inline with one FFT thread, so a stepper's
-#: tile can call the kernels without waiting on its own pool or
-#: oversubscribing the FFTs.  `navsto --workers` sets it for one run.  Output
-#: bytes depend on neither this setting nor the tile size, because every
-#: path's arithmetic touches only its own slice.
+#: threads per top-level call (-1: all cores, as in scipy.fft): the ensemble
+#: steppers with B run their path tiles on this many threads, and a B kernel
+#: called outside a tile-pool thread hands it to its FFTs.  On a tile-pool
+#: thread the kernels run with one FFT thread and map_tiles runs inline, so a
+#: stepper's tile neither waits on its own pool nor oversubscribes the FFTs.
+#: `navsto --workers` sets it for one run.  Output bytes depend on neither
+#: this setting nor the tile size, because every path's arithmetic touches
+#: only its own slice.
 FFT_WORKERS = -1
 
 #: cache budget for one tile's pointwise products; the tile size follows from
@@ -267,9 +267,10 @@ def _tile_pool(threads: int) -> ThreadPoolExecutor:
 def map_tiles(run, total: int, tile: int, threaded: bool = True) -> None:
     """Call run(lo) for lo = 0, tile, 2 tile, ... < total on FFT_WORKERS threads.
 
-    Each call must write only its own slice of the outputs; the calls run in
-    order on the calling thread when one thread is asked for, when not
-    `threaded`, or when called from a tile-pool thread.
+    dynamics._step_paths is its one caller in the package: each call runs
+    one path tile's whole path and writes only its own slice of the
+    outputs.  The calls run in order on the calling thread when one thread
+    is asked for, when not `threaded`, or when called from a tile-pool thread.
     """
     starts = range(0, total, tile)
     workers = _workers_here()
@@ -281,39 +282,11 @@ def map_tiles(run, total: int, tile: int, threaded: bool = True) -> None:
             run(lo)
 
 
-def _path_tiled(uc: np.ndarray, yc: np.ndarray | None, with_self: bool, table: ModeTable,
-                grid: int) -> tuple:
-    """Run _divergence_tile over tiles of the path axis.
-
-    Batch-1 calls and batches of at most one tile run untiled with
-    FFT_WORKERS FFT threads (one on a tile-pool thread); larger (P, K, 3)
-    batches run their tiles through map_tiles, each tile with single-threaded
-    FFTs writing its own slice of the outputs.
-    """
-    if yc is not None and yc.shape != uc.shape:
-        raise ValueError(f"u and y batches differ in shape: {uc.shape} vs {yc.shape}")
-    n_sets = int(with_self) + (yc is not None)
-    tile = tile_paths(6 * n_sets, grid, uc.real.itemsize)
-    if uc.ndim != 3 or uc.shape[0] <= tile:
-        return _divergence_tile(uc, yc, with_self, table, grid, _workers_here())
-    table.pad_layout(grid)   # fill the layout cache before the threads read it
-    outs = tuple(np.empty_like(uc) for _ in range(n_sets))
-
-    def run(lo: int) -> None:
-        part = slice(lo, lo + tile)
-        y = None if yc is None else yc[part]
-        for out, b in zip(outs, _divergence_tile(uc[part], y, with_self, table, grid, 1)):
-            out[part] = b
-
-    map_tiles(run, uc.shape[0], tile)
-    return outs
-
-
 # -- divergence-form kernel -----------------------------------------------------
 
 def _products_buffer(shape: tuple, dtype) -> np.ndarray:
     """An uninitialised products array: a view of this thread's buffer when it
-    fits in TILE_BYTES (every tile of a tiled call does), else a fresh array.
+    fits in TILE_BYTES (a stepper tile's always does), else a fresh array.
 
     glibc trims its heap back to the OS whenever the free memory on top
     reaches twice the largest chunk it has handed out by mmap and got back.
@@ -330,7 +303,7 @@ def _products_buffer(shape: tuple, dtype) -> np.ndarray:
     return _thread.prods[:nbytes].view(dtype).reshape(shape)
 
 
-def _divergence_tile(uc, yc, with_self, table, grid, workers):
+def _divergence_tile(uc, yc, with_self, table, grid):
     """B(u, u) when with_self, then B(y, u) + B(u, y) when y is given.
 
     Both sets are 2 pi i k_a (v_a w_j)^ then Leray: the divergence form,
@@ -339,6 +312,9 @@ def _divergence_tile(uc, yc, with_self, table, grid, workers):
     The pair products u_a y_j + y_a u_j share u's transforms with the self
     products u_a u_j, and all of them run through one forward transform.
     """
+    if yc is not None and yc.shape != uc.shape:
+        raise ValueError(f"u and y batches differ in shape: {uc.shape} vs {yc.shape}")
+    workers = _workers_here()
     fields = uc[..., None, :, :] if yc is None else np.stack([uc, yc], axis=-3)
     phys = _irfft_block(_scatter_half(fields, table, grid), grid, workers)
     up = phys[..., 0, :, :, :, :]
@@ -369,18 +345,18 @@ def _divergence_tile(uc, yc, with_self, table, grid, workers):
 
 def b_self_batch(uc: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
     """B(u, u) in divergence form for (..., K, 3) batches of divergence-free u."""
-    return _path_tiled(uc, None, True, table, grid)[0]
+    return _divergence_tile(uc, None, True, table, grid)[0]
 
 
 def b_linpair_batch(uc: np.ndarray, yc: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
     """B(y, u) + B(u, y) in divergence form (both fields divergence-free)."""
-    return _path_tiled(uc, yc, False, table, grid)[0]
+    return _divergence_tile(uc, yc, False, table, grid)[0]
 
 
 def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable,
                        grid: int) -> tuple[np.ndarray, np.ndarray]:
     """(B(u,u), B(y,u)+B(u,y)) sharing transforms; the tangent-flow hot path."""
-    return _path_tiled(uc, yc, True, table, grid)
+    return _divergence_tile(uc, yc, True, table, grid)
 
 
 def b_pseudospectral(u: SpectralField, v: SpectralField,

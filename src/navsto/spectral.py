@@ -258,11 +258,23 @@ def apply_stokes_power(u: SpectralField, alpha: float) -> SpectralField:
     return SpectralField(u.n, u.coeffs * w[:, None])
 
 
+def weighted_norm_sq(coeffs: np.ndarray, *weights):
+    """2 sum_k w_k |u_k|^2 of (..., K, 3) coefficients for each weight vector
+    w (None: unweighted); sobolev_norm_sq, noise.q_form_sq and the steppers'
+    norms (dynamics._norm_sq) are all this sum.
+
+    |u_k|^2 is formed once and shared by all the sums.  With at most one
+    weight the sum itself comes back, otherwise a tuple in the given order.
+    """
+    mag = (coeffs.real**2 + coeffs.imag**2).sum(axis=-1)
+    sums = tuple(2.0 * (mag if w is None else mag * w).sum(axis=-1)
+                 for w in weights or (None,))
+    return sums[0] if len(sums) == 1 else sums
+
+
 def sobolev_norm_sq(coeffs: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
     """|A^alpha u|^2 for (..., K, 3) coefficient arrays (batched)."""
-    w = lam ** (2.0 * alpha) if alpha != 0.0 else np.ones_like(lam)
-    mag = (coeffs.real**2 + coeffs.imag**2).sum(axis=-1)
-    return 2.0 * (mag * w).sum(axis=-1)
+    return weighted_norm_sq(coeffs, lam ** (2.0 * alpha) if alpha != 0.0 else None)
 
 
 def sobolev_norm(u: SpectralField, alpha: float) -> float:

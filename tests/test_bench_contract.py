@@ -66,3 +66,23 @@ def test_traced_engine_runs_record_noise_and_stepper_spans():
         dynamics.solve_controlled(x, w_inc, 5.0, cfg)
     # the replay's own span and the engine's chunk inside it
     assert [s[0] for s in tracer.spans].count("dynamics.stepper") == 2
+
+
+def test_one_stepper_and_tangent_span_per_run(monkeypatch):
+    # the stepper and tangent spans cover a whole run: run_ensemble and
+    # run_tangent_ensemble each reach their wrapped stepper once, however
+    # many paths they step
+    cfg = dynamics.SimConfig(n=2, dt=1e-4, t_end=2e-4, scheme="em", mode="cutoff", r=5.0,
+                             alpha0=0.75, q0=1.0, seed=5)
+    calls = []
+    for name in ("_run_chunk", "_tangent_chunk"):
+        def spy(*args, _name=name, _fn=getattr(dynamics, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, spy)
+    ids = np.arange(2 * 1000 + 5)
+    dynamics.run_ensemble(cfg, ids)
+    assert calls == ["_run_chunk"]
+    x = spectral.random_divfree_field(2, spectral.powerlaw_profile(3.0, 0.01), seed=6).coeffs
+    dynamics.run_tangent_ensemble(cfg, x, x, ids)
+    assert calls == ["_run_chunk", "_tangent_chunk"]

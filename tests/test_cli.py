@@ -262,3 +262,22 @@ def test_bad_seed_range_is_rejected_before_any_output(tmp_path, capsys, seeds):
     assert exc.value.code == 2
     assert "--seeds" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_rejected_sim_config_is_a_config_error(tmp_path, capsys):
+    # the default config is em at N=4 with dt=1e-3, which SimConfig rejects
+    # as unstable: one line on stderr, exit 1, and no empty output directory
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: em scheme unstable"), err
+    assert not list(out.glob("simulate-*"))
+
+
+def test_commands_without_a_sim_config_run_on_the_defaults(tmp_path):
+    out = str(tmp_path / "out")
+    assert cli.main(["report", "--out", out]) == 0
+    assert cli.main(["select-demo", "--out", out]) == 0
+    # the sweep reads no SimConfig; a small one keeps the test short
+    sweep = write_cfg(tmp_path, "resolutions = 2\ntrials = 2\nfit_m2 = 0\n")
+    assert cli.main(["sweep-inequalities", "--config", sweep, "--out", out]) == 0

@@ -363,12 +363,12 @@ class TestControl:
 class TestEnsembleMachinery:
     def test_worker_count_invariance(self, fft_workers):
         # 1 and 2 tile threads give the same bytes, and every field of the
-        # record is the concatenation of one separate run per CHUNK slice
+        # record is the concatenation of separate runs on ragged slices
         cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme="em", mode="full",
                             alpha0=0.75, q0=10.0, seed=40)
         phis = [vf.TestFunction.build(single_mode_field(3, (1, 0, 0), [0, 1.0, 0]),
                                       cfg.covariance(), "phi1")]
-        ids = np.arange(2 * dyn.CHUNK + 5)
+        ids = np.arange(2005)
         runs = []
         for threads in (1, 2):
             fft_workers(threads)
@@ -376,8 +376,8 @@ class TestEnsembleMachinery:
         r1, r2 = runs
         assert np.array_equal(r1.final, r2.final)
         assert np.array_equal(r1.h2, r2.h2)
-        parts = [record_rows(dyn.run_ensemble(cfg, ids[lo:lo + dyn.CHUNK], phis=phis))
-                 for lo in range(0, ids.size, dyn.CHUNK)]
+        parts = [record_rows(dyn.run_ensemble(cfg, part, phis=phis))
+                 for part in np.split(ids, [1, 997, 1000, 1999])]
         for key, a in record_rows(r2).items():
             assert a.tobytes() == np.concatenate([p[key] for p in parts]).tobytes(), key
 
@@ -553,8 +553,8 @@ def test_advance_matches_plain_expression(scheme, cdtype):
 
 def test_paired_run_evaluates_b_once_per_distinct_state(monkeypatch):
     # equal full and cut-off rows share one B row; rows apart are evaluated on
-    # their own.  A cut-off row with the full row's bytes also takes its
-    # W-norm, and with chi = 1 its stepped row.
+    # their own, in a second call on just those rows.  A cut-off row with the
+    # full row's bytes also takes its W-norm, and with chi = 1 its stepped row.
     cfg = dyn.SimConfig(n=4, dt=5e-4, t_end=0.01, scheme="expo-em", mode="full",
                         alpha0=0.75, q0=60.0, seed=79)
     ids, S = np.arange(12), cfg.n_steps
@@ -584,7 +584,7 @@ def test_paired_run_evaluates_b_once_per_distinct_state(monkeypatch):
         spied.clear()
     x = sp.random_divfree_field(4, sp.powerlaw_profile(3.0, 0.05), seed=81).coeffs
     dyn.paired_full_cutoff(cfg, ids, R=1e9, x0=x, x0_cutoff=x * (1 + 1e-12))
-    assert rows == [2 * P] * S
+    assert rows == [P, P] * S
     assert stepped == [P, P] * S and normed == [P, P] * (S + 1)
     for spied in (rows, stepped, normed):
         spied.clear()
@@ -595,7 +595,7 @@ def test_paired_run_evaluates_b_once_per_distinct_state(monkeypatch):
     own = own[:, :S].sum(axis=0)
     assert apart[0] == 0 and apart[-1] > 0   # shared at first, apart after crossings
     assert own[0] == 0 and (own > apart[:S]).any()   # chi < 1 before the states part
-    assert rows == (P + apart[:S]).tolist()
+    assert rows == [n for k in apart[:S] for n in (P, k) if n]
     assert stepped == [n for k in own for n in (P, k) if n]
     assert normed == [n for k in apart for n in (P, k) if n]
 
@@ -769,31 +769,53 @@ def test_tiled_tangent_matches_per_path_runs(workers, fft_workers, per_path_tang
         assert out[key].tobytes() == a.tobytes(), key
 
 
-def test_ensemble_holds_one_state(fft_workers):
-    # the chunk steps in place in its rows of rec.final, and every other
-    # array is per tile: the next states, B, the noise.  Each tile thread
-    # holds one tile's arrays, so the thread count is fixed at two, whatever
-    # the number of cores
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees allocated during run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each tile thread holds one tile's arrays, so the memory guards below fix
+# the thread count at two, whatever the number of cores.
+
+def n6_ensemble_case():
     cfg = dyn.SimConfig(n=6, dt=1e-3, t_end=2e-3, scheme="expo-em", q0=30.0, seed=615)
     phis = [vf.TestFunction.build(single_mode_field(6, (1, 0, 0), [0, 1.0, 0]),
                                   cfg.covariance(), "phi1")]
-    P = 1000
-    state_bytes = P * sp.mode_table(6).n_modes * 3 * 16
+    return cfg, phis, 1000 * sp.mode_table(6).n_modes * 3 * 16   # 1000 states' bytes
+
+
+def test_ensemble_holds_one_state(fft_workers):
+    # the tiles write their final states straight into rec.final, and every
+    # other state array is per tile: the two buffer sets, B, the noise
+    cfg, phis, state_bytes = n6_ensemble_case()
     fft_workers(2)
     dyn.run_ensemble(cfg, np.arange(2), phis=phis)   # tables and layouts outside the count
-    tracemalloc.start()
-    try:
-        dyn.run_ensemble(cfg, np.arange(P), phis=phis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: dyn.run_ensemble(cfg, np.arange(1000), phis=phis))
     assert peak < 1.6 * state_bytes, peak / state_bytes
 
 
+def test_steppers_without_final_states_hold_no_state_set(fft_workers):
+    # a pair run and a run_ensemble with keep_final=False start from
+    # broadcast views and keep no final states: only per-tile arrays
+    cfg, phis, state_bytes = n6_ensemble_case()
+    fft_workers(2)
+    dyn.run_ensemble(cfg, np.arange(2), phis=phis)
+    peaks = dict(
+        pair=traced_peak(lambda: dyn.paired_full_cutoff(cfg, np.arange(1000), R=20.0)),
+        ensemble=traced_peak(lambda: dyn.run_ensemble(cfg, np.arange(1000), phis=phis,
+                                                      keep_final=False)))
+    assert all(p < 0.5 * state_bytes for p in peaks.values()), \
+        {k: p / state_bytes for k, p in peaks.items()}
+
+
 def test_tangent_ensemble_builds_each_set_once(fft_workers):
-    # the states step in place in the returned final states and the
-    # tangents in one chunk-sized set, each built once from x and h; the
-    # rest is per tile.  Two tile threads, as above
+    # the tiles write their final states straight into the returned final
+    # states and keep no tangent set; the rest is per tile
     cfg = dyn.SimConfig(n=4, dt=0.025, t_end=0.1, scheme="expo-em", mode="cutoff",
                         r=5.0, alpha0=0.25, seed=616)
     x = sp.random_divfree_field(4, sp.powerlaw_profile(3.0), seed=617).coeffs
@@ -802,10 +824,6 @@ def test_tangent_ensemble_builds_each_set_once(fft_workers):
     state_bytes = P * sp.mode_table(4).n_modes * 3 * 8   # complex64
     fft_workers(2)
     dyn.run_tangent_ensemble(cfg, x, h, np.arange(2), precision="single")   # tables outside
-    tracemalloc.start()
-    try:
-        dyn.run_tangent_ensemble(cfg, x, h, np.arange(P), precision="single")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.6 * state_bytes, peak / state_bytes
+    peak = traced_peak(lambda: dyn.run_tangent_ensemble(cfg, x, h, np.arange(P),
+                                                        precision="single"))
+    assert peak < 2.6 * state_bytes, peak / state_bytes

@@ -165,10 +165,12 @@ class TestPseudospectral:
 
 
 class TestPathTiling:
-    """Tiled, threaded B kernels return the bytes of per-path calls."""
+    """B kernels return the bytes of per-path calls on any batch, at any FFT
+    thread count: the steppers' path tiles rely on it, because a row's B
+    must not depend on the rows it is batched with."""
 
     N = 4
-    P = 146   # several tiles plus a ragged last one for every kernel and dtype
+    P = 146   # more than two stepper tiles plus a ragged part, for every kernel and dtype
 
     @staticmethod
     def kernels(u, y, tab, grid):
@@ -202,9 +204,10 @@ class TestPathTiling:
 
 
 def test_nested_tiled_calls_run_inline(fft_workers):
-    # a map_tiles task calls the tiled B kernels on a batch of several tiles,
-    # and the noise block on as many paths; on the pool's threads the kernels
-    # run inline, so the pool never waits on itself
+    # a map_tiles task calls the B kernels on a batch of several stepper
+    # tiles, and the noise block on as many paths; on the pool's threads they
+    # run with one FFT thread and the same bytes, and the pool never waits
+    # on itself
     n, dt, seed, step = 4, 1e-3, 33, 2
     tab, grid = sp.mode_table(n), nl.dealias_grid(n)
     cov = ns.build_covariance(0.75, 30.0, n)

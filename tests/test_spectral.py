@@ -294,3 +294,40 @@ class TestModeTable:
         r = sp.restrict_field(u, 3)
         rows = [u.table.index_of(k) for k in r.table.kvec]
         assert r.coeffs.tobytes() == u.coeffs[rows].tobytes()
+
+
+def _old_sobolev_norm_sq(coeffs, lam, alpha):
+    w = lam ** (2.0 * alpha) if alpha != 0.0 else np.ones_like(lam)
+    mag = (coeffs.real**2 + coeffs.imag**2).sum(axis=-1)
+    return 2.0 * (mag * w).sum(axis=-1)
+
+
+def _old_q_form_sq(sigma, coeffs):
+    mag = (coeffs.real**2 + coeffs.imag**2).sum(axis=-1)
+    return float(2.0 * (sigma**2 * mag).sum())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, sp.theta(0.75)])
+def test_one_norm_definition_keeps_the_bytes(alpha):
+    # sobolev_norm_sq, noise.q_form_sq and dynamics._norm_sq all compute
+    # 2 sum_k w_k |u_k|^2 through weighted_norm_sq, with the bytes of the
+    # formulas each used to write out, on one field, a batch and a NaN row
+    from navsto import dynamics as dyn
+    from navsto import noise as ns
+    n = 4
+    tab, cov = sp.mode_table(n), ns.build_covariance(0.75, 3.0, n)
+    one = random_field(n, 70).coeffs
+    batch = np.array([random_field(n, 71 + i, amp=10.0**i).coeffs for i in range(5)])
+    batch[2, 7, 1] = np.nan
+    for c in (one, batch):
+        want = _old_sobolev_norm_sq(c, tab.lam, alpha)
+        assert sp.sobolev_norm_sq(c, tab.lam, alpha).tobytes() == want.tobytes()
+        w = None if alpha == 0.0 else tab.lam ** (2.0 * alpha)
+        assert dyn._norm_sq(c, w).tobytes() == want.tobytes()
+        both = dyn._norm_sq(c, None, w)
+        assert both[1].tobytes() == want.tobytes()
+        assert both[0].tobytes() == _old_sobolev_norm_sq(c, tab.lam, 0.0).tobytes()
+    assert np.isnan(sp.sobolev_norm_sq(batch, tab.lam, alpha)[2])
+    q = ns.q_form_sq(cov, one)
+    assert np.float64(q).tobytes() == np.float64(_old_q_form_sq(cov.sigma, one)).tobytes()
+    assert dyn._norm_sq is sp.weighted_norm_sq
