@@ -129,13 +129,15 @@ def sim_config(cfg: dict, overrides: dict | None = None) -> dyn.SimConfig:
     c = dict(cfg)
     c.update(overrides or {})
     try:
-        return dyn.SimConfig(
+        sim = dyn.SimConfig(
             n=c["resolution"], nu=c["nu"], dt=c["dt"], t_end=c["horizon"],
             scheme=c["scheme"], mode=c["mode"], r=c["cutoff_r"], alpha0=c["alpha0"],
             q0=c["q0"], seed=c["seed"], snapshot_stride=c["snapshot_stride"],
             n_max=c["n_max"], pad_factor=c["pad_factor"])
+        sim.n_steps   # a horizon that is not a whole number of steps is rejected here
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return sim
 
 
 def _parse_floats(text: str) -> list:

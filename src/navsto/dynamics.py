@@ -450,14 +450,16 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, x0: np.ndarray, phis, noise) ->
         (ut,), (un,) = now, nxt
         b = b_self_batch(ut, sch.tab, sch.grid) if cfg.mode != "stokes" else None
         g = noise(cfg, sch.cov, ids[rows], s)
-        sch.advance(ut, b, sch.chi(w2[rows, s]), g, out=un)
+        chi = sch.chi(w2[rows, s])
+        sch.advance(ut, b, chi, g, out=un)
         if mphi is not None:
             du = un - ut
             for j, phi in enumerate(phis):
                 inc = (pair_with(du, phi.coeffs)
                        + dt * nu * pair_with(ut, phi.a_coeffs))
-                if b is not None:
-                    inc = inc + dt * pair_with(b, phi.coeffs)
+                if b is not None:   # the drift of the dynamics stepped: chi B in cutoff mode
+                    bphi = pair_with(b, phi.coeffs)
+                    inc = inc + dt * (bphi if chi is None else chi * bphi)
                 mphi[j, rows, s + 1] = mphi[j, rows, s] + inc
         fresh = ~np.isfinite(un).all(axis=(1, 2)) & ~blown[rows]
         if fresh.any():

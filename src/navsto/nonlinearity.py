@@ -14,7 +14,9 @@ rfft half-block and run padded transforms pruned to its non-zero lines
 (Bowman and Roberts, SIAM J. Sci. Comput. 33, 2011), with the bytes of the
 full-cube transforms.  The kernels do not tile their batches: the ensemble
 steppers call them on one cache-sized path tile at a time, from the thread
-pool here (`map_tiles`).
+pool here (`map_tiles`).  The divergence-form kernels, which the steppers
+call, run their FFTs on the calling thread; the convective `b_batch`, whose
+callers are batch-1 probes at N up to 32, runs them on FFT_WORKERS threads.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ class PaddingError(ValueError):
 
 
 #: threads per top-level call (-1: all cores, as in scipy.fft): the ensemble
-#: steppers with B run their path tiles on this many threads, and a B kernel
-#: called outside a tile-pool thread hands it to its FFTs.  On a tile-pool
-#: thread the kernels run with one FFT thread and map_tiles runs inline, so a
-#: stepper's tile neither waits on its own pool nor oversubscribes the FFTs.
+#: steppers with B run their path tiles on this many threads, and b_batch
+#: hands it to its FFTs.  The divergence-form kernels never read it: their
+#: FFTs run on the calling thread, since threads only pay off on grids larger
+#: than a stepper tile's or a batch-1 call's at small N.  On a tile-pool thread
+#: map_tiles runs inline, so a stepper's tile never waits on its own pool.
 #: `navsto --workers` sets it for one run.  Output bytes depend on neither
 #: this setting nor the tile size, because every path's arithmetic touches
 #: only its own slice.
@@ -91,30 +94,41 @@ def _full_modes(field: SpectralField):
 
 
 def b_direct(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Brute-force triad convolution; the oracle for the fast path."""
+    """Brute-force triad convolution; the oracle for the fast path.
+
+    One small matrix product per (l_x, l_y): the rows W[m_x, m_y, j, (a, m_z)]
+    = m_a v_m[j] of the m with k = l + m in the box and k_x >= 0 (the half
+    the mode table stores) times the Toeplitz matrix T[(a, m_z), k_z] =
+    u_(l_x, l_y, k_z - m_z)[a], zero where |k_z - m_z| > N.  u need not be
+    divergence-free.
+    """
     if u.n != v.n:
         raise ValueError(f"resolution mismatch: {u.n} vs {v.n}")
     n = u.n
     tab = u.table
     side = 2 * n + 1
     vk, vc = _full_modes(v)
-    # dense cubes of v and of the output, indexed by m + n and k + n per axis
-    vcube = np.zeros((3, side, side, side), dtype=np.complex128)
-    vcube[:, vk[:, 0] + n, vk[:, 1] + n, vk[:, 2] + n] = vc.T
-    ax = np.arange(-n, n + 1, dtype=np.float64)
     uk, uc = _full_modes(u)
-    out = np.zeros((3, side, side, side), dtype=np.complex128)
-    for l, cl in zip(uk, uc):
-        if not (cl[0] or cl[1] or cl[2]):
-            continue
-        # only the m with k = l + m inside the truncation box
-        ms = [slice(max(0, -li), side - max(0, li)) for li in l.tolist()]
-        ks = [slice(max(0, li), side + min(0, li)) for li in l.tolist()]
-        s = ((cl[0] * ax[ms[0]])[:, None, None] + (cl[1] * ax[ms[1]])[None, :, None]
-             + (cl[2] * ax[ms[2]])[None, None, :])   # (u_l . m)
-        out[:, ks[0], ks[1], ks[2]] += s[None, :, :, :] * vcube[:, ms[0], ms[1], ms[2]]
+    # dense cubes indexed by m + n per axis; u's z axis padded to -2N..2N
+    vcube = np.zeros((side, side, side, 3), dtype=np.complex128)
+    vcube[vk[:, 0] + n, vk[:, 1] + n, vk[:, 2] + n] = vc
+    ucube = np.zeros((side, side, 3, 4 * n + 1), dtype=np.complex128)
+    ucube[uk[:, 0] + n, uk[:, 1] + n, :, uk[:, 2] + 2 * n] = uc
+    ax = np.arange(-n, n + 1, dtype=np.float64)
+    m = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1)   # m_a at m + n
+    w = np.einsum("xyza,xyzj->xyjaz", m, vcube).reshape(side, side * 3, 3 * side)
+    iz = np.arange(side)
+    toeplitz = iz[None, :] - iz[:, None] + 2 * n   # k_z - m_z + 2N at [m_z, k_z]
+    out = np.zeros((n + 1, side, 3, side), dtype=np.complex128)   # k_x = 0..N
+    for lx in range(-n, n + 1):
+        kx, mx = slice(0, n + 1 + min(0, lx)), slice(n - lx, side - max(0, lx))
+        wx = w[mx].reshape(-1, 3 * side)   # a view: every m_y row, cropped after
+        for ly in range(-n, n + 1):
+            ky, my = slice(max(0, ly), side + min(0, ly)), slice(max(0, -ly), side - max(0, ly))
+            t = ucube[lx + n, ly + n][:, toeplitz].reshape(3 * side, side)
+            out[kx, ky] += (wx @ t).reshape(-1, side, 3, side)[:, my]
     kv = tab.kvec
-    coeffs = out[:, kv[:, 0] + n, kv[:, 1] + n, kv[:, 2] + n].T
+    coeffs = out[kv[:, 0], kv[:, 1] + n, :, kv[:, 2] + n]
     coeffs = TWO_PI * 1j * coeffs
     return SpectralField(n, leray_project(coeffs, tab))
 
@@ -248,11 +262,6 @@ def _mark_pool_thread() -> None:
     _thread.in_pool = True
 
 
-def _workers_here() -> int:
-    """FFT_WORKERS, or 1 on a tile-pool thread, where nested calls run inline."""
-    return 1 if _thread.in_pool else FFT_WORKERS
-
-
 def _tile_pool(threads: int) -> ThreadPoolExecutor:
     """This process's tile pool; a forked child never reuses its parent's."""
     global _tile_pool_by_pid
@@ -270,12 +279,12 @@ def map_tiles(run, total: int, tile: int, threaded: bool = True) -> None:
     dynamics._step_paths is its one caller in the package: each call runs
     one path tile's whole path and writes only its own slice of the
     outputs.  The calls run in order on the calling thread when one thread
-    is asked for, when not `threaded`, or when called from a tile-pool thread.
+    is asked for, when there is one tile, when not `threaded`, or when
+    called from a tile-pool thread (which the pool would otherwise wait on).
     """
     starts = range(0, total, tile)
-    workers = _workers_here()
-    threads = workers if workers > 0 else (os.cpu_count() or 1) + 1 + workers
-    if threaded and threads > 1 and len(starts) > 1:
+    threads = FFT_WORKERS if FFT_WORKERS > 0 else (os.cpu_count() or 1) + 1 + FFT_WORKERS
+    if threaded and threads > 1 and len(starts) > 1 and not _thread.in_pool:
         list(_tile_pool(threads).map(run, starts))
     else:
         for lo in starts:
@@ -311,12 +320,13 @@ def _divergence_tile(uc, yc, with_self, table, grid):
     triad factor u_l . l vanishes), at 9 transforms per set instead of 15.
     The pair products u_a y_j + y_a u_j share u's transforms with the self
     products u_a u_j, and all of them run through one forward transform.
+    The FFTs run on the calling thread (workers=1): a stepper tile's or a
+    batch-1 call's transforms are too small for threads to pay.
     """
     if yc is not None and yc.shape != uc.shape:
         raise ValueError(f"u and y batches differ in shape: {uc.shape} vs {yc.shape}")
-    workers = _workers_here()
     fields = uc[..., None, :, :] if yc is None else np.stack([uc, yc], axis=-3)
-    phys = _irfft_block(_scatter_half(fields, table, grid), grid, workers)
+    phys = _irfft_block(_scatter_half(fields, table, grid), grid, 1)
     up = phys[..., 0, :, :, :, :]
     lead, cube = uc.shape[:-2], phys.shape[-3:]
     n_sets = int(with_self) + (yc is not None)
@@ -336,7 +346,7 @@ def _divergence_tile(uc, yc, with_self, table, grid):
     # freed before the forward transform allocates, so a tile's fresh arrays
     # stay within twice the largest of them (see _products_buffer)
     del phys, up, yp, scratch
-    p_hat = _rfft_block(prods, table.n, workers)
+    p_hat = _rfft_block(prods, table.n, 1)
     p_modes = _gather_half_scalar(p_hat, table, grid) * grid**3
     return tuple(leray_project(_divergence_form_contract(p_modes[..., 6 * j:6 * j + 6, :],
                                                          table), table)

@@ -274,6 +274,15 @@ def test_rejected_sim_config_is_a_config_error(tmp_path, capsys):
     assert not list(out.glob("simulate-*"))
 
 
+def test_horizon_off_the_step_grid_is_a_config_error(tmp_path, capsys):
+    cfgp = write_cfg(tmp_path, "scheme = expo-em\nhorizon = 0.0105\ndt = 1e-3\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: t_end must be"), err
+    assert not list(out.glob("simulate-*"))
+
+
 def test_commands_without_a_sim_config_run_on_the_defaults(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["report", "--out", out]) == 0

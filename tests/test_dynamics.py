@@ -413,6 +413,28 @@ class TestEnsembleMachinery:
         assert len(rows) - 1 == cfg.n_steps // 2 + 1
 
 
+def test_mphi_increment_is_the_noise_pairing_in_cutoff_mode():
+    # the em cut-off step is u - dt (nu A u + chi B(u, u)) + g, so with chi's
+    # B in the drift each M^phi increment is <g, phi> to roundoff; a drift
+    # with the full B leaves dt (1 - chi) <B, phi> in it
+    cfg = dyn.SimConfig(n=4, dt=2e-4, t_end=2e-3, scheme="em", mode="cutoff", r=39.0,
+                        alpha0=0.25, q0=5.0, seed=170)
+    x = sp.random_divfree_field(4, sp.powerlaw_profile(2.0), seed=171).coeffs
+    x *= np.sqrt(40.5 / sp.sobolev_norm_sq(x, sp.mode_table(4).lam, sp.theta(0.25)))
+    phis = [vf.TestFunction.build(f, cfg.covariance(), f"phi{i}") for i, f in enumerate(
+        (single_mode_field(4, (1, 0, 0), [0, 1.0, 0.5j]),
+         sp.random_divfree_field(4, sp.powerlaw_profile(2.0), seed=172)))]
+    ids = np.arange(6)
+    rec = dyn.run_ensemble(cfg, ids, x0=x, phis=phis, noise=dyn._noise_block)
+    assert (dyn.chi_r(rec.w2[:, :-1], cfg.r) < 1.0).any()
+    g = np.stack([dyn._noise_block(cfg, cfg.covariance(), ids, s) for s in range(cfg.n_steps)],
+                 axis=1)
+    for j, phi in enumerate(phis):
+        inc = np.diff(rec.mphi[j], axis=1)
+        scale = np.abs(np.diff(rec.proj_phi[j], axis=1)).max()
+        assert np.abs(inc - sp.pair_with(g, phi.coeffs)).max() <= 1e-12 * scale, phi.name
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_simulate_path_raises_typed_blowup():
     cfg = dyn.SimConfig(n=3, dt=1e-4, t_end=2e-3, scheme="expo-em",

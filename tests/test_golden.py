@@ -111,14 +111,25 @@ def em_cutoff_n4(**kw):
     return dyn.SimConfig(**base)
 
 
-def test_run_ensemble_em_cutoff_phis():
+def em_cutoff_phis_record():
     cfg = em_cutoff_n4()
     x = scaled_field(4, 4111, 0.25, 40.5)
     rec = dyn.run_ensemble(cfg, np.arange(48), x0=x.coeffs, phis=phis_n4(cfg))
     assert (dyn.chi_r(rec.w2[:, :-1], cfg.r) < 1.0).any()
+    return rec
+
+
+def test_run_ensemble_em_cutoff_phis():
+    rec = em_cutoff_phis_record()
     assert digest(rec.final, rec.h2, rec.v2, rec.w2, rec.int_v2, rec.int_h2nm2_v2[2],
-                  rec.int_h2nm2[2], rec.mphi, rec.proj_phi) == (
-        "ec4c0e64fc135eb6bc603ac70c6d57044767343acb77948a46eaeaa64fd6e41c")
+                  rec.int_h2nm2[2], rec.proj_phi) == (
+        "487bcaceb946db4fce03e8022b0a0e4a43ee5a140e16b58f92afe5f7962ed163")
+
+
+def test_run_ensemble_em_cutoff_mphi():
+    # M^phi's drift carries the chi B the cut-off step used
+    assert digest(em_cutoff_phis_record().mphi) == (
+        "f14d06be4bf4572fd5e3d6b56d14211ac691abdaf1925ebf675e9ab5975c7412")
 
 
 def test_step_em_cutoff():

@@ -66,12 +66,26 @@ def b_direct_full_box(u, v):
     return sp.leray_project(nl.TWO_PI * 1j * coeffs, tab)
 
 
+def assert_close_to_full_box(u, v):
+    want = b_direct_full_box(u, v)
+    assert np.abs(nl.b_direct(u, v).coeffs - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestDirect:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
     def test_cropped_adds_match_full_box(self, n):
         u, v = random_field(n, 60 + n), random_field(n, 70 + n)
-        u.coeffs[3] = 0.0   # a skipped all-zero mode
-        assert nl.b_direct(u, v).coeffs.tobytes() == b_direct_full_box(u, v).tobytes()
+        u.coeffs[min(3, u.table.n_modes - 1)] = 0.0   # an all-zero mode
+        assert_close_to_full_box(u, v)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_full_box_for_u_not_divergence_free(self, n):
+        # the oracle's (u_l . m) is general: no term may rely on l . u_l = 0
+        rng = np.random.default_rng(80 + n)
+        shape = (sp.mode_table(n).n_modes, 3)
+        u = sp.SpectralField(n, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert np.abs(sp.leray_project(u.coeffs, u.table) - u.coeffs).max() > 0.1
+        assert_close_to_full_box(u, random_field(n, 90 + n))
 
     def test_zero_left_argument(self):
         v = random_field(3, 1)
@@ -165,9 +179,10 @@ class TestPseudospectral:
 
 
 class TestPathTiling:
-    """B kernels return the bytes of per-path calls on any batch, at any FFT
-    thread count: the steppers' path tiles rely on it, because a row's B
-    must not depend on the rows it is batched with."""
+    """B kernels return the bytes of per-path calls on any batch, whatever
+    the thread setting (which the divergence-form kernels do not read; their
+    FFTs run on the calling thread): the steppers' path tiles rely on it,
+    because a row's B must not depend on the rows it is batched with."""
 
     N = 4
     P = 146   # more than two stepper tiles plus a ragged part, for every kernel and dtype
@@ -201,6 +216,30 @@ class TestPathTiling:
             # the single-set entry points are the two halves of the joint one
             assert got[0].tobytes() == got[2].tobytes()
             assert got[1].tobytes() == got[3].tobytes()
+
+
+def test_divergence_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch):
+    # batch-1 and stepper-tile transforms are too small for FFT threads to
+    # pay; only the convective b_batch hands FFT_WORKERS to its transforms
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args):
+            seen.append(args[-1])
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(nl, "_irfft_block", spy(nl._irfft_block))
+    monkeypatch.setattr(nl, "_rfft_block", spy(nl._rfft_block))
+    fft_workers(-1)
+    tab, grid = sp.mode_table(4), nl.dealias_grid(4)
+    u, y = random_field(4, 11).coeffs, random_field(4, 12).coeffs
+    for call, want in ((lambda: nl.b_self_batch(u, tab, grid), 1),
+                       (lambda: nl.b_self_and_linpair(u, y, tab, grid), 1),
+                       (lambda: nl.b_batch(u, y, tab, grid), -1)):
+        seen.clear()
+        call()
+        assert seen and set(seen) == {want}
 
 
 def test_nested_tiled_calls_run_inline(fft_workers):
