@@ -17,6 +17,8 @@ steppers call them on one cache-sized path tile at a time, from the thread
 pool here (`map_tiles`).  The divergence-form kernels, which the steppers
 call, run their FFTs on the calling thread; the convective `b_batch`, whose
 callers are batch-1 probes at N up to 32, runs them on FFT_WORKERS threads.
+A divergence-form batch whose rows are all one state (byte-equal, as at
+step 0 of a run from one start) runs the kernel on its first row alone.
 """
 
 from __future__ import annotations
@@ -307,9 +309,21 @@ def _products_buffer(shape: tuple, dtype) -> np.ndarray:
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     if nbytes > TILE_BYTES:
         return np.empty(shape, dtype=dtype)
-    if _thread.prods is None:
+    if _thread.prods is None or _thread.prods.nbytes < nbytes:   # TILE_BYTES may have grown
         _thread.prods = np.empty(TILE_BYTES, dtype=np.uint8)
     return _thread.prods[:nbytes].view(dtype).reshape(shape)
+
+
+def _one_state(a: np.ndarray) -> bool:
+    """Whether the batch a is (P, K, 3) with P >= 2 rows, all with row 0's bytes.
+
+    Integer views, not ==, so -0 vs +0 and NaN payloads count as different;
+    row 1 goes first, so a batch of distinct rows stops after one row.
+    """
+    if a.ndim != 3 or len(a) < 2:
+        return False
+    rows = np.ascontiguousarray(a).view(np.int64).reshape(len(a), -1)
+    return np.array_equal(rows[1], rows[0]) and bool((rows[2:] == rows[0]).all())
 
 
 def _divergence_tile(uc, yc, with_self, table, grid):
@@ -322,9 +336,18 @@ def _divergence_tile(uc, yc, with_self, table, grid):
     products u_a u_j, and all of them run through one forward transform.
     The FFTs run on the calling thread (workers=1): a stepper tile's or a
     batch-1 call's transforms are too small for threads to pay.
+
+    A batch whose rows are all one state (u, and y when given, byte-equal
+    row by row: step 0 of a run from one start) runs the kernel on its first
+    row alone, and each result is that row repeated, as a fresh array.  A
+    kernel row depends only on its own input row, so the bytes are those of
+    the full batch.
     """
     if yc is not None and yc.shape != uc.shape:
         raise ValueError(f"u and y batches differ in shape: {uc.shape} vs {yc.shape}")
+    if _one_state(uc) and (yc is None or _one_state(yc)):
+        one = _divergence_tile(uc[:1], None if yc is None else yc[:1], with_self, table, grid)
+        return tuple(np.repeat(r, len(uc), axis=0) for r in one)
     fields = uc[..., None, :, :] if yc is None else np.stack([uc, yc], axis=-3)
     phys = _irfft_block(_scatter_half(fields, table, grid), grid, 1)
     up = phys[..., 0, :, :, :, :]

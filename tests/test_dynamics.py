@@ -622,6 +622,39 @@ def test_paired_run_evaluates_b_once_per_distinct_state(monkeypatch):
     assert normed == [n for k in apart for n in (P, k) if n]
 
 
+def test_broadcast_starts_run_step_zero_on_one_kernel_row(fft_workers, monkeypatch):
+    # every path of a run from one start has one state at step 0, so each
+    # path tile runs B there on one kernel row; later steps, and a start set
+    # of distinct rows, run on all of the tile's rows
+    cfg = dyn.SimConfig(n=N_TILED, dt=0.01, t_end=0.03, scheme="expo-em", alpha0=0.25,
+                        q0=30.0, seed=611)
+    ids, S = np.arange(P_TILED), cfg.n_steps
+    x = tiled_starts(1.0, 60.0, 0.25)
+    h = sp.random_divfree_field(N_TILED, sp.powerlaw_profile(3.0, 0.5), seed=612).coeffs
+    pair_tile = nl.tile_paths(12, nl.dealias_grid(N_TILED), 8)
+    assert S == 3 and P_TILED > 2 * TILE
+
+    def expect(tile, one_state):
+        """Kernel rows per _irfft_block call, tile by tile, step by step."""
+        sizes = [min(tile, P_TILED - lo) for lo in range(0, P_TILED, tile)]
+        return [r for m in sizes for r in [1 if one_state else m] + [m] * (S - 1)]
+
+    rows = []
+    irfft = nl._irfft_block
+    monkeypatch.setattr(nl, "_irfft_block",
+                        lambda hat, *a: rows.append(len(hat)) or irfft(hat, *a))
+    fft_workers(1)   # the tiles run in order on this thread
+    for run, want in ((lambda: dyn.run_ensemble(cfg, ids), expect(TILE, True)),
+                      (lambda: dyn.run_ensemble(cfg, ids, x0=x[0]), expect(TILE, True)),
+                      (lambda: dyn.run_ensemble(cfg, ids, x0=x), expect(TILE, False)),
+                      (lambda: dyn.paired_full_cutoff(cfg, ids, R=1e9), expect(TILE, True)),
+                      (lambda: dyn.run_tangent_ensemble(cfg, x[0], h, ids),
+                       expect(pair_tile, True))):
+        rows.clear()
+        run()
+        assert rows == want
+
+
 # -- tiled steppers: several tiles plus a ragged one, against per-path runs ------
 
 WORKER_SETTINGS = (-1, 1, 5)   # all cores, serial, more threads than cores

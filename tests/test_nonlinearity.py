@@ -182,7 +182,9 @@ class TestPathTiling:
     """B kernels return the bytes of per-path calls on any batch, whatever
     the thread setting (which the divergence-form kernels do not read; their
     FFTs run on the calling thread): the steppers' path tiles rely on it,
-    because a row's B must not depend on the rows it is batched with."""
+    because a row's B must not depend on the rows it is batched with.  A
+    batch of one repeated state runs the divergence kernels on one row; its
+    near misses, which differ in a bit the kernel reads, run on every row."""
 
     N = 4
     P = 146   # more than two stepper tiles plus a ragged part, for every kernel and dtype
@@ -192,9 +194,27 @@ class TestPathTiling:
         return (nl.b_self_batch(u, tab, grid), nl.b_linpair_batch(u, y, tab, grid),
                 *nl.b_self_and_linpair(u, y, tab, grid))
 
+    def per_row(self, u, y, tab, grid):
+        """The four kernels' outputs stacked from batch-1 calls, one per distinct row pair."""
+        seen = {}
+        rows = [seen.setdefault(u[i].tobytes() + y[i].tobytes(),
+                                self.kernels(u[i], y[i], tab, grid)) for i in range(self.P)]
+        return [np.stack([r[j] for r in rows]) for j in range(4)]
+
+    def near_misses(self, one_u, one_y, y):
+        """Batches that differ from a one-state batch in bits the kernel reads."""
+        last_ulp = one_u.copy()
+        flat = last_ulp[-1].view(np.finfo(one_u.dtype).dtype).reshape(-1)
+        flat[5] = np.nextafter(flat[5], np.inf)
+        zeros = np.zeros_like(one_u)
+        zeros[self.P // 2] = complex(-0.0, -0.0)
+        return (("last row one ulp apart", last_ulp, one_y),
+                ("one all -0 row among +0 rows", zeros, one_y),
+                ("u one state, y not", one_u, y))
+
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
     def test_bytes_independent_of_tiles_and_threads(self, dtype, fft_workers,
-                                                    fine_thread_switching):
+                                                    fine_thread_switching, monkeypatch):
         tab = sp.mode_table(self.N)
         grid = nl.dealias_grid(self.N)
         real = np.finfo(dtype).dtype
@@ -207,15 +227,30 @@ class TestPathTiling:
         y = np.array(fields[self.P:], dtype=dtype)
         per_path = [self.kernels(u[i], y[i], tab, grid) for i in range(self.P)]
         expect = [np.stack([pp[j] for pp in per_path]) for j in range(4)]
+        P = self.P
+        one_u, one_y = np.repeat(u[:1], P, axis=0), np.repeat(y[:1], P, axis=0)
+        one = [np.repeat(r[None], P, axis=0) for r in self.kernels(u[0], y[0], tab, grid)]
+        # each case's kernel rows per call: b_self_batch, b_linpair_batch, the joint one
+        cases = [("distinct rows", u, y, expect, [P, P, P]),
+                 ("one state", one_u, one_y, one, [1, 1, 1])]
+        cases += [(name, cu, cy, self.per_row(cu, cy, tab, grid), [1 if cu is one_u else P, P, P])
+                  for name, cu, cy in self.near_misses(one_u, one_y, y)]
+        rows = []
+        irfft = nl._irfft_block
+        monkeypatch.setattr(nl, "_irfft_block",
+                            lambda hat, *a: rows.append(len(hat)) or irfft(hat, *a))
         for workers in (-1, 5, 1):   # all cores, more threads than cores, serial
             fft_workers(workers)
-            got = self.kernels(u, y, tab, grid)
-            for g, e in zip(got, expect):
-                assert g.dtype == dtype
-                assert g.tobytes() == e.tobytes()   # sees -0 vs +0, NaN payloads
-            # the single-set entry points are the two halves of the joint one
-            assert got[0].tobytes() == got[2].tobytes()
-            assert got[1].tobytes() == got[3].tobytes()
+            for name, cu, cy, want, kernel_rows in cases:
+                rows.clear()
+                got = self.kernels(cu, cy, tab, grid)
+                assert rows == kernel_rows, name
+                for g, e in zip(got, want):
+                    assert g.dtype == dtype
+                    assert g.tobytes() == e.tobytes(), name   # sees -0 vs +0, NaN payloads
+                # the single-set entry points are the two halves of the joint one
+                assert got[0].tobytes() == got[2].tobytes()
+                assert got[1].tobytes() == got[3].tobytes()
 
 
 def test_divergence_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch):
@@ -240,6 +275,22 @@ def test_divergence_kernels_run_their_ffts_on_the_calling_thread(fft_workers, mo
         seen.clear()
         call()
         assert seen and set(seen) == {want}
+
+
+def test_products_buffer_grows_with_tile_bytes(monkeypatch):
+    # a thread's products buffer made under a small TILE_BYTES is re-made
+    # once a larger TILE_BYTES lets a larger tile use it
+    tab, grid = sp.mode_table(4), nl.dealias_grid(4)
+    u = np.array([random_field(4, 960 + i).coeffs for i in range(5)])
+    row_bytes = 6 * grid**3 * 8
+    expect = np.stack([nl.b_self_batch(r, tab, grid) for r in u])
+    monkeypatch.setattr(nl._thread, "prods", None)
+    monkeypatch.setattr(nl, "TILE_BYTES", row_bytes)
+    first = nl.b_self_batch(u[:1], tab, grid)
+    monkeypatch.setattr(nl, "TILE_BYTES", len(u) * row_bytes)
+    got = nl.b_self_batch(u, tab, grid)
+    assert nl._thread.prods.nbytes == len(u) * row_bytes
+    assert first.tobytes() == expect[:1].tobytes() and got.tobytes() == expect.tobytes()
 
 
 def test_nested_tiled_calls_run_inline(fft_workers):
