@@ -15,5 +15,5 @@ from .spectral import (  # noqa: F401
     theta,
 )
 from .nonlinearity import b_direct, b_pseudospectral, breg_ratio  # noqa: F401
-from .noise import build_covariance, sample_wiener_increment  # noqa: F401
+from .noise import build_covariance  # noqa: F401
 from .dynamics import SimConfig, chi_r, simulate_path  # noqa: F401

@@ -31,6 +31,7 @@ from .spectral import (
     random_divfree_field,
     powerlaw_profile,
     sobolev_norm_sq,
+    weighted_norm_sq,
     write_snapshot,
 )
 
@@ -125,7 +126,8 @@ def parse_config(path) -> dict:
 
 
 def sim_config(cfg: dict, overrides: dict | None = None) -> dyn.SimConfig:
-    """The SimConfig of a parsed config; its rejections are ConfigErrors."""
+    """The SimConfig of a parsed config; its rejections, and those of its
+    step count and noise covariance, are ConfigErrors."""
     c = dict(cfg)
     c.update(overrides or {})
     try:
@@ -135,9 +137,18 @@ def sim_config(cfg: dict, overrides: dict | None = None) -> dyn.SimConfig:
             q0=c["q0"], seed=c["seed"], snapshot_stride=c["snapshot_stride"],
             n_max=c["n_max"], pad_factor=c["pad_factor"])
         sim.n_steps   # a horizon that is not a whole number of steps is rejected here
+        sim.covariance()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return sim
+
+
+def _moment(cfg: dict) -> int:
+    """The energy moment; the record tracks E^1..E^n_max."""
+    n = cfg["moment"]
+    if not 1 <= n <= cfg["n_max"]:
+        raise ConfigError(f"moment = {n} must lie in 1..n_max = {cfg['n_max']}")
+    return n
 
 
 def _parse_floats(text: str) -> list:
@@ -271,13 +282,14 @@ def cmd_verify_mp2(args, cfg, seeds, out):
 
 
 def cmd_verify_energy(args, cfg, seeds, out):
+    moment = _moment(cfg)
     sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     cps = _grid_times(cfg)
     bias = None
     if cfg["pilot_paths"]:
         bias = vf.richardson_bias(sim, np.arange(cfg["pilot_paths"]), phis, cps)
     verdicts, artifacts = {}, {}
-    for n in range(1, cfg["moment"] + 1):
+    for n in range(1, moment + 1):
         rep = vf.test_energy_supermartingale(rec, n, cps, bias=bias)
         fn = f"report_E{n}.json"
         _write_json(out / fn, rep.to_json_dict())
@@ -287,10 +299,12 @@ def cmd_verify_energy(args, cfg, seeds, out):
 
 
 def cmd_verify_doob(args, cfg, seeds, out):
+    n = _moment(cfg)
+    if cfg["lambda_count"] < 1:
+        raise ConfigError(f"lambda_count = {cfg['lambda_count']} must be >= 1")
     sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     a = cfg["interval_a"] or rec.times[1]
     b = cfg["interval_b"] or rec.times[-1]
-    n = cfg["moment"]
     alpha = rec.h2**n
     top = float(np.nanmax(alpha)) * (1 + 2 * n)
     lam_grid = np.linspace(top / cfg["lambda_count"], top, cfg["lambda_count"])
@@ -298,6 +312,8 @@ def cmd_verify_doob(args, cfg, seeds, out):
 
 
 def cmd_verify_weak_strong(args, cfg, seeds, out):
+    if cfg["weak_strong_r"] < 1:
+        raise ConfigError(f"weak_strong_r = {cfg['weak_strong_r']} must be >= 1")
     sim = sim_config(cfg, {"mode": "full"})
     return _report(out, vf.test_weak_strong(sim, seeds, cfg["weak_strong_r"],
                                             min_crossings=cfg["min_crossings"]))
@@ -355,7 +371,7 @@ def cmd_control_steer(args, cfg, seeds, out):
     lam, miss = sch.tab.lam, replay.series[-1] - y.coeffs
     end_err = float(np.sqrt(sobolev_norm_sq(miss, lam, 0.0)
                             / max(sobolev_norm_sq(y.coeffs, lam, 0.0), 1e-300)))
-    endpoint_w = float(np.sqrt(2.0 * ((np.abs(miss)**2).sum(-1) * sch.w_w).sum()))
+    endpoint_w = float(np.sqrt(weighted_norm_sq(miss, sch.w_w)))
     snaps = {"designed_end": designed[-1], "replayed_end": replay.series[-1]}
     # control path (cumulative w) and designed states at quarter points
     w_path = np.concatenate([np.zeros_like(w_inc[:1]), np.cumsum(w_inc, axis=0)])

@@ -68,8 +68,8 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; pick one of {MODES}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
+            raise ValueError("nu, dt and t_end must be positive")
         if self.mode == "cutoff":
             if self.r is None or self.r < 1:
                 raise ValueError("cutoff mode needs a level R >= 1")

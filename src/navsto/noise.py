@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .spectral import ModeTable, SpectralField, mode_table, weighted_norm_sq
+from .spectral import ModeTable, mode_table, weighted_norm_sq
 
 ALPHA0_MIN = 1.0 / 6.0
 
@@ -50,12 +50,11 @@ class CovarianceSpec:
         return mode_table(self.n)
 
 
-def build_covariance(alpha0: float, q0: float, n: int,
-                     allow_low_alpha0: bool = False) -> CovarianceSpec:
+def build_covariance(alpha0: float, q0: float, n: int) -> CovarianceSpec:
     """Amplitudes sigma_k = q0 lam_k^(-3/4-alpha0) and the total trace.
 
-    alpha0 > 1/6 is the standing regularity restriction; smaller values are
-    exploratory only and need the explicit override.
+    alpha0 > 1/6 is the regularity assumption under which the selection is
+    strong Feller; smaller values are rejected.
 
     Each stored mode carries two polarizations and each polarization two real
     directions (cosine/sine phases), so the trace sums 4 sigma_k^2 per stored
@@ -63,10 +62,9 @@ def build_covariance(alpha0: float, q0: float, n: int,
     """
     if q0 <= 0:
         raise ValueError("q0 must be positive")
-    if alpha0 <= ALPHA0_MIN and not allow_low_alpha0:
+    if alpha0 <= ALPHA0_MIN:
         raise DegenerateNoiseError(
-            f"alpha0 = {alpha0} <= 1/6 violates the regularity assumption "
-            "(pass allow_low_alpha0=True to explore anyway)")
+            f"alpha0 = {alpha0} <= 1/6 violates the regularity assumption")
     tab = mode_table(n)
     sigma = q0 * tab.lam ** (-0.75 - alpha0)
     if not np.all(sigma > 0):
@@ -144,11 +142,6 @@ def wiener_block(cov: CovarianceSpec, dt: float, seed: int, path_ids,
     return _assemble(cov, _mode_gaussians(cov, scale, seed, path_ids, step, KIND_WIENER))
 
 
-def sample_wiener_increment(cov: CovarianceSpec, dt: float, seed: int,
-                            path_id: int = 0, step: int = 0) -> SpectralField:
-    return SpectralField(cov.n, wiener_block(cov, dt, seed, [path_id], step)[0])
-
-
 def ou_decay(cov: CovarianceSpec, dt: float, nu: float = 1.0) -> np.ndarray:
     """Per-mode linear decay factor exp(-nu lam_k dt)."""
     return np.exp(-nu * cov.table.lam * dt)
@@ -169,22 +162,9 @@ def ou_block(cov: CovarianceSpec, dt: float, seed: int, path_ids, step: int,
     return _assemble(cov, _mode_gaussians(cov, scale, seed, path_ids, step, KIND_OU))
 
 
-def q_power_apply(cov: CovarianceSpec, field: SpectralField, sign: float) -> SpectralField:
-    """Apply Q^(+1/2) or Q^(-1/2): per-mode multiplication by sigma_k^(+/-1)."""
-    if sign not in (0.5, -0.5):
-        raise ValueError("sign must be +1/2 or -1/2")
-    w = cov.sigma if sign > 0 else 1.0 / cov.sigma
-    return SpectralField(cov.n, field.coeffs * w[:, None])
-
-
 def q_form_sq(cov: CovarianceSpec, coeffs: np.ndarray) -> float:
     """|Q^(1/2) phi|_H^2 = 2 sum_k sigma_k^2 |phi_k|^2, exact in this basis."""
     return float(weighted_norm_sq(coeffs, cov.sigma**2))
-
-
-def partial_traces(alpha0: float, q0: float, resolutions) -> list[tuple[int, float]]:
-    """Partial sums of the trace across resolutions (trace-class diagnostics)."""
-    return [(n, build_covariance(alpha0, q0, n).sigma_sq_total) for n in resolutions]
 
 
 def dump_covariance_csv(cov: CovarianceSpec, path) -> None:

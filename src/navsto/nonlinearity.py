@@ -392,12 +392,11 @@ def b_self_and_linpair(uc: np.ndarray, yc: np.ndarray, table: ModeTable,
     return _divergence_tile(uc, yc, True, table, grid)
 
 
-def b_pseudospectral(u: SpectralField, v: SpectralField,
-                     pad_factor: float = 1.5) -> SpectralField:
+def b_pseudospectral(u: SpectralField, v: SpectralField) -> SpectralField:
     """Fast evaluation of B(u, v); identical to b_direct up to roundoff."""
     if u.n != v.n:
         raise ValueError(f"resolution mismatch: {u.n} vs {v.n}")
-    grid = dealias_grid(u.n, pad_factor)
+    grid = dealias_grid(u.n)
     coeffs = b_batch(u.coeffs, v.coeffs, u.table, grid)
     return SpectralField(u.n, coeffs)
 
@@ -405,7 +404,7 @@ def b_pseudospectral(u: SpectralField, v: SpectralField,
 # -- continuity-estimate probes -----------------------------------------------
 
 def breg_ratio(u: SpectralField, v: SpectralField, alpha: float,
-               eps: float | None = None, pad_factor: float = 1.5) -> float:
+               eps: float | None = None) -> float:
     """||B(u,v)||_{alpha-1/4} / (||u||_{theta} ||v||_{theta}).
 
     At the borderline alpha = 1/2 the target exponent drops to 1/4 - eps and
@@ -423,27 +422,13 @@ def breg_ratio(u: SpectralField, v: SpectralField, alpha: float,
         target = 0.25 - eps
     else:
         target = alpha - 0.25
-    b = b_pseudospectral(u, v, pad_factor)
+    b = b_pseudospectral(u, v)
     return sobolev_norm(b, target) / (nu * nv)
 
 
-def bnorm_negative_check(u: SpectralField, gamma: float,
-                         pad_factor: float = 1.5) -> float:
-    """|B(u,u)|_{D(A^-gamma)} / (|u|_H |u|_V) for gamma in (3/2, 2)."""
-    if not (1.5 < gamma < 2.0):
-        raise ValueError(f"gamma must lie in (3/2, 2), got {gamma}")
-    nh = sobolev_norm(u, 0.0)
-    nv = sobolev_norm(u, 0.5)
-    if nh == 0.0:
-        raise ZeroDivisionError("bnorm_negative_check undefined for the zero field")
-    b = b_pseudospectral(u, u, pad_factor)
-    return sobolev_norm(b, -gamma) / (nh * nv)
-
-
-def skew_pairing_residual(u: SpectralField, v: SpectralField,
-                          pad_factor: float = 1.5) -> float:
+def skew_pairing_residual(u: SpectralField, v: SpectralField) -> float:
     """|<B(u,v), v>| normalised by ||u|| ||v||^2 (zero in exact arithmetic)."""
-    b = b_pseudospectral(u, v, pad_factor)
+    b = b_pseudospectral(u, v)
     num = abs(2.0 * np.real(np.einsum("kj,kj->", b.coeffs, np.conj(v.coeffs))))
     den = sobolev_norm(u, 0.0) * sobolev_norm(v, 0.0) ** 2
     if den == 0.0:

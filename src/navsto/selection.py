@@ -195,24 +195,21 @@ class SelectionCriterion:
         return self.scale * _F_MENU[self.f_name](x)
 
 
-def j_functional(path: BranchPath, criterion: SelectionCriterion,
-                 horizon: float | None = None) -> float:
+def j_functional(path: BranchPath, criterion: SelectionCriterion) -> float:
     """Discounted observable along a deterministic path (Simpson quadrature).
 
     Requires lam * horizon >= 20 so the truncated tail is below exp(-20).
     """
     t = path.times
-    if horizon is None:
-        horizon = float(t[-1])
+    horizon = float(t[-1])
     if criterion.lam * horizon < 20.0 - 1e-12:
         raise HorizonError(
             f"lam*horizon = {criterion.lam * horizon:.3g} < 20; tail truncation unsafe")
-    sel = t <= horizon + 1e-12
-    y = np.exp(-criterion.lam * t[sel]) * criterion.f(path.values[sel])
-    return float(simpson(y, x=t[sel]))
+    y = np.exp(-criterion.lam * t) * criterion.f(path.values)
+    return float(simpson(y, x=t))
 
 
-def select(funnel: SolutionFunnel, criteria, tol: float = ARGMAX_TOL) -> BranchPath:
+def select(funnel: SolutionFunnel, criteria) -> BranchPath:
     """Iterated argmax cascade; ties retained per stage, never index-broken."""
     if not funnel.members:
         raise ValueError("empty funnel")
@@ -221,7 +218,7 @@ def select(funnel: SolutionFunnel, criteria, tol: float = ARGMAX_TOL) -> BranchP
     survivors = list(funnel.members)
     for crit in criteria:
         js = np.array([j_functional(p, crit) for p in survivors])
-        keep = js >= js.max() - tol
+        keep = js >= js.max() - ARGMAX_TOL
         survivors = [p for p, k in zip(survivors, keep) if k]
     if len(survivors) > 1:
         raise TieError(
@@ -229,11 +226,10 @@ def select(funnel: SolutionFunnel, criteria, tol: float = ARGMAX_TOL) -> BranchP
     return survivors[0]
 
 
-def argmax_set(funnel: SolutionFunnel, criterion: SelectionCriterion,
-               tol: float = ARGMAX_TOL) -> set:
+def argmax_set(funnel: SolutionFunnel, criterion: SelectionCriterion) -> set:
     js = np.array([j_functional(p, criterion) for p in funnel.members])
     mx = js.max()
-    return {p.label() for p, j in zip(funnel.members, js) if j >= mx - tol}
+    return {p.label() for p, j in zip(funnel.members, js) if j >= mx - ARGMAX_TOL}
 
 
 # -- semiflow check -------------------------------------------------------------

@@ -362,30 +362,10 @@ def to_physical(u: SpectralField, grid: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out.real, 0, -1))
 
 
-def from_physical(samples: np.ndarray, n: int) -> SpectralField:
-    """Inverse of to_physical for grids >= 2N+1."""
-    grid = samples.shape[0]
-    if samples.shape != (grid, grid, grid, 3):
-        raise ValueError("samples must have shape (g, g, g, 3)")
-    tab = mode_table(n)
-    if grid < 2 * tab.n + 1:
-        raise AliasError(f"grid {grid} < 2N+1 = {2 * tab.n + 1}")
-    cube = np.fft.fftn(np.moveaxis(samples, -1, 0), axes=(1, 2, 3)) / grid**3
-    idx = tuple((tab.kvec % grid).T)
-    coeffs = np.stack([cube[j][idx] for j in range(3)], axis=1)
-    return SpectralField(n, coeffs)
-
-
 def l2_norm_physical(samples: np.ndarray) -> float:
     """Grid quadrature of the L2 norm (trapezoidal = exact for trig data)."""
     g = samples.shape[0]
     return float(np.sqrt((samples**2).sum() / g**3))
-
-
-def lp_norm_physical(samples: np.ndarray, p: float) -> float:
-    g = samples.shape[0]
-    mag = np.sqrt((samples**2).sum(axis=-1))
-    return float(((mag**p).sum() / g**3) ** (1.0 / p))
 
 
 # -- snapshot I/O -------------------------------------------------------------

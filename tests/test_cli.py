@@ -274,6 +274,25 @@ def test_rejected_sim_config_is_a_config_error(tmp_path, capsys):
     assert not list(out.glob("simulate-*"))
 
 
+@pytest.mark.parametrize("sub, line", [
+    ("simulate", "alpha0 = 0.1"),
+    ("simulate", "q0 = 0.0"),
+    ("simulate", "nu = 0.0"),
+    ("verify-weak-strong", "weak_strong_r = 0.5"),
+    ("verify-energy", "moment = 3"),
+    ("verify-doob", "moment = 3"),
+    ("verify-doob", "lambda_count = 0"),
+])
+def test_bad_value_is_a_config_error_before_any_work(tmp_path, capsys, sub, line):
+    cfgp = write_cfg(tmp_path, f"scheme = expo-em\nhorizon = 0.002\n{line}\n")
+    out = tmp_path / "out"
+    assert cli.main([sub, "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    key = line.split(" =")[0]
+    assert len(err) == 1 and err[0].startswith("config error:") and key in err[0], err
+    assert not list(out.glob(f"{sub}-*"))
+
+
 def test_horizon_off_the_step_grid_is_a_config_error(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, "scheme = expo-em\nhorizon = 0.0105\ndt = 1e-3\n")
     out = tmp_path / "out"

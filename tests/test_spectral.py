@@ -134,11 +134,6 @@ class TestRandomField:
 
 
 class TestTransforms:
-    def test_round_trip(self):
-        u = random_field(4, 21)
-        back = sp.from_physical(sp.to_physical(u, 16), 4)
-        assert np.abs(back.coeffs - u.coeffs).max() <= 1e-12 * np.abs(u.coeffs).max()
-
     def test_alias_guard(self):
         u = random_field(4, 22)
         with pytest.raises(sp.AliasError):
@@ -149,18 +144,6 @@ class TestTransforms:
         u.set((2, 0, 0), [0, 0.7, 0.0])  # real coefficient: 1.4 cos(4 pi x) e_y
         phys = sp.to_physical(u, 16)
         assert phys[..., 1].max() == pytest.approx(1.4, rel=1e-12)
-
-    def test_l3_embedding_with_frozen_constant(self):
-        # admissible constant calibrated by brute force over this family once
-        C_EMB = 0.41
-        worst = 0.0
-        for i in range(100):
-            n = (4, 6, 8)[i % 3]
-            u = sp.random_divfree_field(
-                n, sp.powerlaw_profile(2.0 + (i % 4) * 0.5), seed=500 + i)
-            l3 = sp.lp_norm_physical(sp.to_physical(u, 4 * n), 3.0)
-            worst = max(worst, l3 / sp.sobolev_norm(u, 0.25))
-        assert worst <= C_EMB * (1 + 1e-9)
 
     def test_reality_of_physical_field(self):
         # the complex spectral cube of a half-stored field is Hermitian
