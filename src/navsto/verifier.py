@@ -85,9 +85,10 @@ class TestReport:
             self.failures.append(label)
 
     def to_json_dict(self) -> dict:
-        return dict(name=self.name, params=self.params, estimates=self.estimates,
-                    se=self.standard_errors, band=self.bands, verdict=self.verdict,
-                    controls=self.controls, failures=self.failures)
+        return dict(name=self.name, ensemble_size=self.ensemble_size,
+                    threshold_rule=self.threshold_rule, params=self.params,
+                    estimates=self.estimates, se=self.standard_errors, band=self.bands,
+                    verdict=self.verdict, controls=self.controls, failures=self.failures)
 
 
 def _mean_se(x: np.ndarray):

@@ -114,6 +114,7 @@ control_paths = 300
         rep = json.loads((run / "report.json").read_text())
         assert rep["verdict"] == "pass"
         assert rep["controls"][0]["valid"]
+        assert rep["ensemble_size"] == 600 and "4 SE" in rep["threshold_rule"]
         assert "runtime_s" not in rep  # timestamps only in the manifest
 
     def test_verify_mp2_corrupted_main_fails(self, tmp_path):
