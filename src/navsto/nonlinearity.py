@@ -11,18 +11,21 @@ the direct route exists so the fast one never verifies itself.
 
 The pseudo-spectral kernels keep spectra in the dense (2N+1, 2N+1, N+1)
 rfft half-block and run padded transforms pruned to its non-zero lines
-(Bowman and Roberts, SIAM J. Sci. Comput. 33, 2011), with the bytes of the
-full-cube transforms.  The kernels do not tile their batches: the ensemble
-steppers call them on one cache-sized path tile at a time, from the thread
-pool here (`map_tiles`).  The divergence-form kernels, which the steppers
-call, run their FFTs on the calling thread; the convective `b_batch`, whose
-callers are batch-1 probes at N up to 32, runs them on FFT_WORKERS threads.
+(Bowman and Roberts, SIAM J. Sci. Comput. 33, 2011): pocketfft along x and y,
+and along z one real matrix product with a pruned DFT matrix, in BLAS calls
+of one fixed shape, so that a row's bytes do not depend on its batch.  The
+kernels do not tile their batches: the ensemble steppers call them on one
+cache-sized path tile at a time, from the thread pool here (`map_tiles`).
+The divergence-form kernels, which the steppers call, run their FFTs on the
+calling thread; the convective `b_batch`, whose callers are batch-1 probes
+at N up to 32, runs them on FFT_WORKERS threads.
 A divergence-form batch whose rows are all one state (byte-equal, as at
 step 0 of a run from one start) runs the kernel on its first row alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -140,10 +143,39 @@ def b_direct(u: SpectralField, v: SpectralField) -> SpectralField:
 # Spectral data live in the dense half-block (..., 2N+1, 2N+1, N+1) of
 # spectral.PadLayout, the only part of the padded rfft half-cube that is
 # non-zero on input or kept on output.  The two transforms below run one axis
-# at a time, in place on views of one padded half-cube, and skip every line
-# that is all zero on input or dropped on output.  They keep the axis order of
-# scipy's multi-axis irfftn/rfftn (x before y both ways), so every kept line
-# sees the same arithmetic and the bytes are those of the full-cube transforms.
+# at a time and skip every line that is all zero on input or dropped on
+# output: x and y on pocketfft, in place on views of one (g, g, N+1) cube, and
+# z as real BLAS products with pruned DFT matrices, whose fixed call shape
+# keeps each row's bytes independent of its batch.
+
+@functools.lru_cache(maxsize=None)
+def _z_matrices(n: int, grid: int, dtype) -> tuple:
+    """Real matrices of the pruned z-axis DFTs: forward (g, 2(N+1)), cos and
+    -sin columns giving (Re, Im) of kz = 0..N, with the 1/g^3 of the 3-D
+    transform folded in; inverse (2(N+1), g), the same rows weighted 1 at
+    kz = 0 and 2 above (Hermitian symmetry; N < g/2, so no Nyquist row)."""
+    ang = 2 * np.pi * (np.outer(np.arange(grid), np.arange(n + 1)) % grid) / grid
+    cs = np.stack([np.cos(ang), -np.sin(ang)], axis=-1).reshape(grid, 2 * n + 2)
+    weight = np.repeat(np.r_[1.0, np.full(n, 2.0)], 2)
+    return (cs / grid**3).astype(dtype), np.ascontiguousarray((cs * weight).T, dtype=dtype)
+
+
+def _gemm_rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m over the rows of a, in BLAS calls of the largest power-of-two row
+    count with rows * m.size <= 2**18, the last one zero-padded.  OpenBLAS's
+    bits for a row can change with a call's row count, so one count keeps
+    each row's bytes its own; at this size OpenBLAS runs on the calling thread."""
+    rows = 1 << max(0, ((1 << 18) // m.size).bit_length() - 1)
+    out = np.empty((len(a), m.shape[1]), dtype=m.dtype)
+    full = len(a) - len(a) % rows
+    with np.errstate(over="ignore", invalid="ignore"):   # a blown-up row: silent, as in pocketfft
+        for lo in range(0, full, rows):
+            np.matmul(a[lo:lo + rows], m, out=out[lo:lo + rows])
+        if full < len(a):
+            tail = np.pad(a[full:], ((0, rows + full - len(a)), (0, 0)))
+            out[full:] = (tail @ m)[:len(a) - full]
+    return out
+
 
 def _wrapped(n: int, grid: int) -> tuple:
     """Block and grid index ranges of the wavenumbers 0..N and -N..-1."""
@@ -151,37 +183,36 @@ def _wrapped(n: int, grid: int) -> tuple:
 
 
 def _irfft_block(hat: np.ndarray, grid: int, workers: int) -> np.ndarray:
-    """Real grids (..., g, g, g) from half-blocks; the bytes of sfft.irfftn."""
+    """Real grids (..., g, g, g) from half-blocks, unnormalised: sum_k hat_k e^{2 pi i k.x}."""
     n = hat.shape[-1] - 1
-    kz = slice(0, n + 1)
-    cube = np.zeros(hat.shape[:-3] + (grid, grid, grid // 2 + 1), dtype=hat.dtype)
+    cube = np.zeros(hat.shape[:-3] + (grid, grid, n + 1), dtype=hat.dtype)
     for bx, gx in _wrapped(n, grid):
         for by, gy in _wrapped(n, grid):
-            cube[..., gx, gy, kz] = hat[..., bx, by, :]
-    # in place on views: x over the (2N+1)(N+1) non-zero lines, then y
+            cube[..., gx, gy, :] = hat[..., bx, by, :]
+    # in place on views: x over the (2N+1)(N+1) non-zero lines, then y, then z
     for _, gy in _wrapped(n, grid):
-        sfft.ifft(cube[..., :, gy, kz], axis=-3, norm="forward", overwrite_x=True,
+        sfft.ifft(cube[..., :, gy, :], axis=-3, norm="forward", overwrite_x=True,
                   workers=workers)
-    sfft.ifft(cube[..., kz], axis=-2, norm="forward", overwrite_x=True, workers=workers)
-    out = sfft.irfft(cube, n=grid, axis=-1, norm="forward", workers=workers)
-    # irfftn scales once, on its last pass, by 1/g^3 formed in long double
-    out *= (1 / np.longdouble(grid**3)).astype(out.dtype)
-    return out
+    sfft.ifft(cube, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+    inv = _z_matrices(n, grid, hat.real.dtype)[1]
+    out = _gemm_rows(cube.view(inv.dtype).reshape(-1, 2 * n + 2), inv)
+    return out.reshape(hat.shape[:-3] + (grid,) * 3)
 
 
 def _rfft_block(phys: np.ndarray, n: int, workers: int) -> np.ndarray:
-    """Half-blocks (..., 2N+1, 2N+1, N+1) of real grids; sfft.rfftn's bytes there."""
+    """Half-blocks (..., 2N+1, 2N+1, N+1) of real grids, scaled by 1/g^3."""
     grid = phys.shape[-1]
-    kz = slice(0, n + 1)
-    cube = sfft.rfft(phys, axis=-1, workers=workers)
-    # in place on views: x over the kz <= N lines, then y over the kept x rows
-    sfft.fft(cube[..., kz], axis=-3, overwrite_x=True, workers=workers)
+    fwd = _z_matrices(n, grid, phys.dtype)[0]
+    cube = _gemm_rows(phys.reshape(-1, grid), fwd).view(np.result_type(phys.dtype, np.complex64))
+    cube = cube.reshape(phys.shape[:-1] + (n + 1,))
+    # in place on views: x over every kz <= N line, then y over the kept x rows
+    sfft.fft(cube, axis=-3, overwrite_x=True, workers=workers)
     for _, gx in _wrapped(n, grid):
-        sfft.fft(cube[..., gx, :, kz], axis=-2, overwrite_x=True, workers=workers)
+        sfft.fft(cube[..., gx, :, :], axis=-2, overwrite_x=True, workers=workers)
     out = np.empty(phys.shape[:-3] + (2 * n + 1, 2 * n + 1, n + 1), dtype=cube.dtype)
     for bx, gx in _wrapped(n, grid):
         for by, gy in _wrapped(n, grid):
-            out[..., bx, by, :] = cube[..., gx, gy, kz]
+            out[..., bx, by, :] = cube[..., gx, gy, :]
     return out
 
 
@@ -218,7 +249,6 @@ def _gather_half_scalar(z: np.ndarray, table: ModeTable, grid: int) -> np.ndarra
 def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
     """Dealiased (u . grad) v with Leray projection for (..., K, 3) batches."""
     lay = table.pad_layout(grid)
-    # physical fields carry a 1/grid^3 factor that is repaid at the gather
     u_phys = _irfft_block(_scatter_half(uc, table, grid), grid, FFT_WORKERS)
     v_hat = _scatter_half(vc, table, grid)
     w_hat = np.empty_like(v_hat)
@@ -233,9 +263,7 @@ def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int) -> np.n
         w_hat[..., j, :, :, :] = _rfft_block(w, table.n, FFT_WORKERS)
         del w
     del u_phys, v_hat
-    out = _gather_half(w_hat, table, grid)
-    out *= grid**3
-    return leray_project(out, table)
+    return leray_project(_gather_half(w_hat, table, grid), table)
 
 
 _PROD_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -370,7 +398,7 @@ def _divergence_tile(uc, yc, with_self, table, grid):
     # stay within twice the largest of them (see _products_buffer)
     del phys, up, yp, scratch
     p_hat = _rfft_block(prods, table.n, 1)
-    p_modes = _gather_half_scalar(p_hat, table, grid) * grid**3
+    p_modes = _gather_half_scalar(p_hat, table, grid)
     return tuple(leray_project(_divergence_form_contract(p_modes[..., 6 * j:6 * j + 6, :],
                                                          table), table)
                  for j in range(n_sets))

@@ -254,6 +254,39 @@ class TestPathTiling:
                 assert got[1].tobytes() == got[3].tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 16])
+def test_rows_keep_their_bytes_in_any_batch(n, monkeypatch):
+    # every kernel row has the bytes of that row run alone and of it at
+    # another offset in a shorter batch.  The z passes are BLAS products, whose
+    # bits for a row can change with a call's row count; every call has one
+    # row count, so the line counts here, none a multiple of it, end in a
+    # zero-padded call
+    tab, grid = sp.mode_table(n), nl.dealias_grid(n)
+    fields = np.array([random_field(n, 700 + 10 * n + i).coeffs for i in range(10)])
+    u, y = fields[:5], fields[5:]
+    kernels = {
+        "b_self_batch": lambda u, y: [nl.b_self_batch(u, tab, grid)],
+        "b_self_and_linpair": lambda u, y: nl.b_self_and_linpair(u, y, tab, grid),
+        "b_self_and_linpair float32": lambda u, y: nl.b_self_and_linpair(
+            u.astype(np.complex64), y.astype(np.complex64), tab, grid),
+        "b_batch": lambda u, y: [nl.b_batch(u, y, tab, grid)],
+    }
+    lines = []
+    gemm = nl._gemm_rows
+    monkeypatch.setattr(nl, "_gemm_rows",
+                        lambda a, m: lines.append((len(a), m.size)) or gemm(a, m))
+    for name, kernel in kernels.items():
+        lines.clear()
+        whole, part = kernel(u, y), kernel(u[1:4], y[1:4])
+        alone = [kernel(u[i:i + 1], y[i:i + 1]) for i in range(5)]
+        for count, size in lines:
+            assert count % (1 << ((1 << 18) // size).bit_length() - 1), (name, count)
+        for j, w in enumerate(whole):
+            assert part[j].tobytes() == w[1:4].tobytes(), name
+            for i in range(5):
+                assert alone[i][j].tobytes() == w[i:i + 1].tobytes(), (name, i)
+
+
 def test_divergence_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch):
     # batch-1 and stepper-tile transforms are too small for FFT threads to
     # pay; only the convective b_batch hands FFT_WORKERS to its transforms
@@ -388,8 +421,17 @@ def b_batch_full_cube(uc, vc, tab, grid):
     return sp.leray_project(np.swapaxes(out, -1, -2) * grid**3, tab)
 
 
+def rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
 class TestPrunedTransforms:
-    """The pruned block transforms return the bytes of scipy's full-cube ones."""
+    """The pruned block transforms match scipy's full-cube ones, scaled, to
+    roundoff: the z passes are BLAS products, so the bytes differ by design.
+    The bounds are about ten times the worst relative error of 150 random
+    draws (8.8e-16 for float64, 3.1e-7 for float32)."""
+
+    BOUND = {np.complex128: 1e-14, np.complex64: 4e-6}
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), lead=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
@@ -402,16 +444,16 @@ class TestPrunedTransforms:
         shape = (lead, 2 * n + 1, 2 * n + 1, n + 1)
         hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
         hat[0, rng.integers(0, 2 * n + 1)] = 0   # an all-zero x row
-        got = nl._irfft_block(hat, grid, workers)
+        got = nl._irfft_block(hat, grid, workers)   # unnormalised: irfftn times g^3
         want = sfft.irfftn(full_cube(hat, tab, grid), s=(grid,) * 3, axes=(-3, -2, -1))
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and rel_err(got, want * grid**3) <= self.BOUND[dtype]
 
         phys = rng.standard_normal((lead, grid, grid, grid)).astype(got.dtype)
-        got = nl._rfft_block(phys, n, workers)
+        got = nl._rfft_block(phys, n, workers)   # rfftn over g^3
         full = sfft.rfftn(phys, axes=(-3, -2, -1))
         side = np.r_[0:n + 1, -n:0] % grid
         want = full[..., side[:, None], side, :n + 1]
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype and rel_err(got, want / grid**3) <= self.BOUND[dtype]
 
     @pytest.mark.parametrize("n, batch", [pytest.param(16, 1, id="16"),
                                           pytest.param(32, 1, id="32"),
@@ -422,7 +464,8 @@ class TestPrunedTransforms:
         fields = [[random_field(n, 110 + n + 2 * i + j).coeffs for i in range(batch)]
                   for j in (0, 1)]
         u, v = (f[0] if batch == 1 else np.stack(f) for f in fields)
-        assert nl.b_batch(u, v, tab, grid).tobytes() == b_batch_full_cube(u, v, tab, grid).tobytes()
+        got = nl.b_batch(u, v, tab, grid)
+        assert rel_err(got, b_batch_full_cube(u, v, tab, grid)) <= self.BOUND[np.complex128]
 
     def test_b_batch_streams_one_component(self):
         # one velocity component and one of its gradients in flight: about 8
