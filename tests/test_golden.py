@@ -2,9 +2,10 @@
 
 Every optimisation of the B kernels and the noise block promises unchanged
 bytes; these digests make any bit change, including a flipped sign of zero,
-fail loudly.  They hold for the numpy/scipy pair the suite runs on (pocketfft
-and the Philox normal sampler fix the bits); a library upgrade that changes
-them must be re-pinned on its own, never together with a code change.
+fail loudly.  They hold for the numpy/scipy pair the suite runs on (pocketfft,
+numpy's OpenBLAS, whose GEMMs run the B kernels' z passes, and the Philox
+normal sampler fix the bits); a library upgrade that changes them must be
+re-pinned on its own, never together with a code change.
 """
 
 import hashlib
@@ -37,7 +38,7 @@ def test_run_ensemble_expo_em_n4():
     cfg = dyn.SimConfig(n=4, dt=0.01, t_end=0.03, scheme="expo-em", q0=30.0, seed=4101)
     rec = dyn.run_ensemble(cfg, np.arange(48), x0=field(4, 4102))
     assert digest(rec.final, rec.h2, rec.v2, rec.w2) == (
-        "59fc34ea302107980b0b7adb0d1c8d741a01780e4578859e4eced7340baca723")
+        "35c7331a2e4bfc9c1d219aa3aeb8b022d3898e033637d8dc8d82c5fa29017220")
 
 
 def test_run_tangent_ensemble_float32_chi_prime_active():
@@ -52,7 +53,7 @@ def test_run_tangent_ensemble_float32_chi_prime_active():
                                    np.arange(48), precision="single")
     assert out["final"].dtype == np.complex64
     assert digest(out["final"], out["bel_sum"]) == (
-        "837e6f04977900de15b75101b70bdaca012e583b9d33d34b5e70fb26517de6b3")
+        "ebb40171bd247df4db0377571655fbf6a4225fdd066042ad27f2357497b46dd5")
 
 
 def test_paired_full_cutoff():
@@ -61,14 +62,14 @@ def test_paired_full_cutoff():
     assert res["crossings"] > 0
     assert digest(res["w2_full"], res["w2_cutoff"], res["tau_full"], res["tau_cutoff"],
                   res["mismatch_steps"]) == (
-        "7c32a724e5f38f0860e25ad58c0c31f94c4ffb0e537e1cb21a0b621664cf7120")
+        "3d9012192548da794599ba2871b0bb1e670925ce4aacf7a304d342b37afd7725")
 
 
 def test_b_batch_n8():
     tab = sp.mode_table(8)
     out = nl.b_batch(field(8, 4107), field(8, 4108), tab, nl.dealias_grid(8))
     assert digest(out) == (
-        "78efe0bc8eba1e2bac524570866afb790a4084159602a8a648ab3ddb398da596")
+        "34b79d8fc16958c808a69285cba7d14cd309a5ce20f48a6812d3b0dca8f5a60b")
 
 
 def test_ou_block_n6():
@@ -123,13 +124,13 @@ def test_run_ensemble_em_cutoff_phis():
     rec = em_cutoff_phis_record()
     assert digest(rec.final, rec.h2, rec.v2, rec.w2, rec.int_v2, rec.int_h2nm2_v2[2],
                   rec.int_h2nm2[2], rec.proj_phi) == (
-        "487bcaceb946db4fce03e8022b0a0e4a43ee5a140e16b58f92afe5f7962ed163")
+        "4f3eff934c3b061632f70ec0e1f1867fe7c92427ca16cae7b2d9e4a4e199c684")
 
 
 def test_run_ensemble_em_cutoff_mphi():
     # M^phi's drift carries the chi B the cut-off step used
     assert digest(em_cutoff_phis_record().mphi) == (
-        "f14d06be4bf4572fd5e3d6b56d14211ac691abdaf1925ebf675e9ab5975c7412")
+        "404bfb5d497873380b9ef29a0b417916a88ebd92ba0c1d0fec45e651e86f08e0")
 
 
 def test_step_em_cutoff():
@@ -138,7 +139,7 @@ def test_step_em_cutoff():
     assert dyn.chi_r(40.5, cfg.r) < 1.0
     g = sp.SpectralField(4, ns.wiener_block(cfg.covariance(), cfg.dt, cfg.seed, [3], 0)[0])
     assert digest(dyn.step(x, cfg, g).coeffs, dyn.step(x, cfg, None).coeffs) == (
-        "16d80e695a3785755e54b787d0669e5282f56b9a81ceb77fde6b6db79b657b10")
+        "61aea9c31d6e0c2982d8c259ba0cb88ca5dfc448c42aa466147abe658885460c")
 
 
 def test_linearized_flow_em_cutoff_chi_prime_active():
@@ -154,7 +155,7 @@ def test_linearized_flow_em_cutoff_chi_prime_active():
     h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0), 4117)
     _, du, _ = dyn._tangent_chunk(cfg, x.coeffs, h.coeffs, np.array([0]))
     assert digest(du[0]) == (
-        "34b6c057068d92eec8503a2ed6180f045654791d30b8f0c6a496567f30cf1cea")
+        "00569f5e056f84f5435aded2ea93c8a9e23c36d13f9639b96d1d00a9b55e11fd")
 
 
 def test_paired_full_cutoff_em():
@@ -164,7 +165,7 @@ def test_paired_full_cutoff_em():
     assert res["crossings"] > 0
     assert digest(res["w2_full"], res["w2_cutoff"], res["tau_full"], res["tau_cutoff"],
                   res["mismatch_steps"]) == (
-        "985e01fb88dcf5086eff5fe124b53378819e8c10270fa0d75a5ca08bccc1ec61")
+        "5666235cd2ef1608ea63749e8dd3f769571b6906b4909911a279ed70d803af31")
 
 
 def test_build_control_and_replay_n4():
@@ -176,7 +177,7 @@ def test_build_control_and_replay_n4():
     rec = dyn.solve_controlled(x, w_inc, 60.0, cfg)
     assert digest(w_inc, designed, np.array([info["t_star"], info["sup_w2"]]),
                   rec.series, rec.h2, rec.v2, rec.w2) == (
-        "c33442406105845d9384642178b422f0ebb47115f4a4f5d01492bc759b285335")
+        "867953fbe6a890dc808449d219943c50c979debb7b5c1a7431be3b92ac2bb891")
     # the replay's quadrature is the engine's cumsum(dt v2), not cumsum(v2) dt
     assert digest(rec.int_v2) == (
         "1d4b7da7f29b9b2933744d25a7d874064cbac36d8a1b44ee3ce16861fdf27a05")
@@ -207,7 +208,7 @@ def test_cli_simulate_artifacts(tmp_path):
         h.update(f.name.encode())
         h.update(f.read_bytes())
     assert h.hexdigest() == (
-        "aa2bf5b12e0e1987e298f1728bd7cb07473ac313d1a009453084a49563f565ca")
+        "3ed8c39935c62766972f49735e3571f724eba1b9bbde24398ae9c21373ffc859")
 
 
 REPORT_RUNS = (  # (subcommand, seeds, config lines on top of an N=3 expo-em base)
@@ -236,4 +237,4 @@ def test_cli_report_artifacts(tmp_path):
             h.update(f"{sub}/{f.name}".encode())
             h.update(f.read_bytes())
     assert h.hexdigest() == (
-        "0c20c57b73bb9b06f1379d75a4aab446695abe4b1e4f7b6ade2b3157f52a5115")
+        "9c63632f282ce0cf42713c4272b2eea17cbd344f54387bd7cf6e4ed1557ba676")
