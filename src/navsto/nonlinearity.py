@@ -189,7 +189,7 @@ def _irfft_block(hat: np.ndarray, grid: int, workers: int) -> np.ndarray:
     for bx, gx in _wrapped(n, grid):
         for by, gy in _wrapped(n, grid):
             cube[..., gx, gy, :] = hat[..., bx, by, :]
-    # in place on views: x over the (2N+1)(N+1) non-zero lines, then y, then z
+    # in place on views: x over the (2N+1)(N+1) non-zero lines, then y; z is the product
     for _, gy in _wrapped(n, grid):
         sfft.ifft(cube[..., :, gy, :], axis=-3, norm="forward", overwrite_x=True,
                   workers=workers)
