@@ -244,7 +244,10 @@ def cmd_simulate(args, cfg, seeds, out):
     dump_covariance_csv(cov, out / "covariance.csv")
     artifacts["covariance"] = "covariance.csv"
     for s in seeds:
-        rec = dyn.simulate_path(sim, path_id=s)
+        try:
+            rec = dyn.simulate_path(sim, path_id=s)
+        except dyn.BlowupError as err:   # the seed's partial path is still written
+            rec = err.partial_record
         stride = max(sim.snapshot_stride, 1)
         name = f"path_{s}.csv"
         dyn.export_path_csv(rec, out / name, stride=stride)

@@ -486,16 +486,13 @@ def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -
 
 # -- single-path front door ----------------------------------------------------
 
-def simulate_path(cfg: SimConfig, path_id: int = 0, x0: SpectralField | None = None,
-                  phis=(), keep_series: bool | None = None) -> EnsembleRecord:
-    """Integrate one path.
+def simulate_path(cfg: SimConfig, path_id: int = 0) -> EnsembleRecord:
+    """Integrate one path from rest, keeping its series when snapshot_stride is set.
 
     A nonfinite state aborts with BlowupError carrying the step index and
     the partial record; ensembles instead census blow-ups per path.
     """
-    keep = bool(cfg.snapshot_stride) if keep_series is None else keep_series
-    x = None if x0 is None else x0.coeffs
-    record = run_ensemble(cfg, [path_id], x0=x, phis=phis, keep_series=keep).path(0)
+    record = run_ensemble(cfg, [path_id], keep_series=bool(cfg.snapshot_stride)).path(0)
     if record.blown:
         err = BlowupError(record.blow_step, path_id)
         err.partial_record = record

@@ -16,9 +16,8 @@ and along z one real matrix product with a pruned DFT matrix, in BLAS calls
 of one fixed shape, so that a row's bytes do not depend on its batch.  The
 kernels do not tile their batches: the ensemble steppers call them on one
 cache-sized path tile at a time, from the thread pool here (`map_tiles`).
-The divergence-form kernels, which the steppers call, run their FFTs on the
-calling thread; the convective `b_batch`, whose callers are batch-1 probes
-at N up to 32, runs them on FFT_WORKERS threads.
+Every transform runs on the calling thread; FFT_WORKERS sets only the number
+of tile-pool threads.
 A divergence-form batch whose rows are all one state (byte-equal, as at
 step 0 of a run from one start) runs the kernel on its first row alone.
 """
@@ -48,12 +47,10 @@ class PaddingError(ValueError):
     """Configured padding factor cannot dealias the quadratic product."""
 
 
-#: threads per top-level call (-1: all cores, as in scipy.fft): the ensemble
-#: steppers with B run their path tiles on this many threads, and b_batch
-#: hands it to its FFTs.  The divergence-form kernels never read it: their
-#: FFTs run on the calling thread, since threads only pay off on grids larger
-#: than a stepper tile's or a batch-1 call's at small N.  On a tile-pool thread
-#: map_tiles runs inline, so a stepper's tile never waits on its own pool.
+#: tile-pool threads (-1: all cores, as in scipy.fft): the ensemble steppers
+#: with B run their path tiles on this many threads.  The kernels' FFTs always
+#: run on the calling thread.  On a tile-pool thread map_tiles runs inline, so
+#: a stepper's tile never waits on its own pool.
 #: `navsto --workers` sets it for one run.  Output bytes depend on neither
 #: this setting nor the tile size, because every path's arithmetic touches
 #: only its own slice.
@@ -182,7 +179,7 @@ def _wrapped(n: int, grid: int) -> tuple:
     return (slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, 2 * n + 1), slice(grid - n, grid))
 
 
-def _irfft_block(hat: np.ndarray, grid: int, workers: int) -> np.ndarray:
+def _irfft_block(hat: np.ndarray, grid: int) -> np.ndarray:
     """Real grids (..., g, g, g) from half-blocks, unnormalised: sum_k hat_k e^{2 pi i k.x}."""
     n = hat.shape[-1] - 1
     cube = np.zeros(hat.shape[:-3] + (grid, grid, n + 1), dtype=hat.dtype)
@@ -191,24 +188,23 @@ def _irfft_block(hat: np.ndarray, grid: int, workers: int) -> np.ndarray:
             cube[..., gx, gy, :] = hat[..., bx, by, :]
     # in place on views: x over the (2N+1)(N+1) non-zero lines, then y; z is the product
     for _, gy in _wrapped(n, grid):
-        sfft.ifft(cube[..., :, gy, :], axis=-3, norm="forward", overwrite_x=True,
-                  workers=workers)
-    sfft.ifft(cube, axis=-2, norm="forward", overwrite_x=True, workers=workers)
+        sfft.ifft(cube[..., :, gy, :], axis=-3, norm="forward", overwrite_x=True)
+    sfft.ifft(cube, axis=-2, norm="forward", overwrite_x=True)
     inv = _z_matrices(n, grid, hat.real.dtype)[1]
     out = _gemm_rows(cube.view(inv.dtype).reshape(-1, 2 * n + 2), inv)
     return out.reshape(hat.shape[:-3] + (grid,) * 3)
 
 
-def _rfft_block(phys: np.ndarray, n: int, workers: int) -> np.ndarray:
+def _rfft_block(phys: np.ndarray, n: int) -> np.ndarray:
     """Half-blocks (..., 2N+1, 2N+1, N+1) of real grids, scaled by 1/g^3."""
     grid = phys.shape[-1]
     fwd = _z_matrices(n, grid, phys.dtype)[0]
     cube = _gemm_rows(phys.reshape(-1, grid), fwd).view(np.result_type(phys.dtype, np.complex64))
     cube = cube.reshape(phys.shape[:-1] + (n + 1,))
     # in place on views: x over every kz <= N line, then y over the kept x rows
-    sfft.fft(cube, axis=-3, overwrite_x=True, workers=workers)
+    sfft.fft(cube, axis=-3, overwrite_x=True)
     for _, gx in _wrapped(n, grid):
-        sfft.fft(cube[..., gx, :, :], axis=-2, overwrite_x=True, workers=workers)
+        sfft.fft(cube[..., gx, :, :], axis=-2, overwrite_x=True)
     out = np.empty(phys.shape[:-3] + (2 * n + 1, 2 * n + 1, n + 1), dtype=cube.dtype)
     for bx, gx in _wrapped(n, grid):
         for by, gy in _wrapped(n, grid):
@@ -249,18 +245,18 @@ def _gather_half_scalar(z: np.ndarray, table: ModeTable, grid: int) -> np.ndarra
 def b_batch(uc: np.ndarray, vc: np.ndarray, table: ModeTable, grid: int) -> np.ndarray:
     """Dealiased (u . grad) v with Leray projection for (..., K, 3) batches."""
     lay = table.pad_layout(grid)
-    u_phys = _irfft_block(_scatter_half(uc, table, grid), grid, FFT_WORKERS)
+    u_phys = _irfft_block(_scatter_half(uc, table, grid), grid)
     v_hat = _scatter_half(vc, table, grid)
     w_hat = np.empty_like(v_hat)
     # one component w_j = sum_a u_a d_a v_j in flight at a time, summed in
     # place in the order (t0 + t1) + t2, one gradient at a time: 8 real grids, not 20
     for j in range(3):
         for a, ka in enumerate((lay.kx, lay.ky, lay.kz)):
-            d = _irfft_block(v_hat[..., j, :, :, :] * (TWO_PI * 1j * ka), grid, FFT_WORKERS)
+            d = _irfft_block(v_hat[..., j, :, :, :] * (TWO_PI * 1j * ka), grid)
             d *= u_phys[..., a, :, :, :]
             w = d if a == 0 else np.add(w, d, out=w)
             del d
-        w_hat[..., j, :, :, :] = _rfft_block(w, table.n, FFT_WORKERS)
+        w_hat[..., j, :, :, :] = _rfft_block(w, table.n)
         del w
     del u_phys, v_hat
     return leray_project(_gather_half(w_hat, table, grid), table)
@@ -362,8 +358,8 @@ def _divergence_tile(uc, yc, with_self, table, grid):
     triad factor u_l . l vanishes), at 9 transforms per set instead of 15.
     The pair products u_a y_j + y_a u_j share u's transforms with the self
     products u_a u_j, and all of them run through one forward transform.
-    The FFTs run on the calling thread (workers=1): a stepper tile's or a
-    batch-1 call's transforms are too small for threads to pay.
+    The FFTs run on the calling thread; FFT_WORKERS sets only how many
+    tile-pool threads call this.
 
     A batch whose rows are all one state (u, and y when given, byte-equal
     row by row: step 0 of a run from one start) runs the kernel on its first
@@ -377,7 +373,7 @@ def _divergence_tile(uc, yc, with_self, table, grid):
         one = _divergence_tile(uc[:1], None if yc is None else yc[:1], with_self, table, grid)
         return tuple(np.repeat(r, len(uc), axis=0) for r in one)
     fields = uc[..., None, :, :] if yc is None else np.stack([uc, yc], axis=-3)
-    phys = _irfft_block(_scatter_half(fields, table, grid), grid, 1)
+    phys = _irfft_block(_scatter_half(fields, table, grid), grid)
     up = phys[..., 0, :, :, :, :]
     lead, cube = uc.shape[:-2], phys.shape[-3:]
     n_sets = int(with_self) + (yc is not None)
@@ -397,7 +393,7 @@ def _divergence_tile(uc, yc, with_self, table, grid):
     # freed before the forward transform allocates, so a tile's fresh arrays
     # stay within twice the largest of them (see _products_buffer)
     del phys, up, yp, scratch
-    p_hat = _rfft_block(prods, table.n, 1)
+    p_hat = _rfft_block(prods, table.n)
     p_modes = _gather_half_scalar(p_hat, table, grid)
     return tuple(leray_project(_divergence_form_contract(p_modes[..., 6 * j:6 * j + 6, :],
                                                          table), table)

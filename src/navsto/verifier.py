@@ -454,17 +454,17 @@ def inequality_sweep(spec: SweepSpec):
     return rows, summary, ("bounded" if bounded else "unbounded")
 
 
-def fit_m2_endpoint(n: int = 8, trials: int = 100, seed: int = 77,
-                    fresh_trials: int = 100):
+def fit_m2_endpoint(seed: int = 77):
     """Empirical (C, p) for the m = 2 endpoint pairing inequality.
 
     Fits <A^2 v, B(v+z, v+z)> <= 1/2 |A^(3/2) v|^2 + C (1 + |v|_V + |A z|)^p
-    on random smooth pairs, then re-verifies on fresh seeds.  The constants
-    are recorded artifacts, not asserted against any externally given value.
+    on 100 random smooth pairs at N = 8, then re-verifies on 100 fresh ones;
+    the constants are recorded artifacts, not asserted against any given value.
     """
     from .spectral import powerlaw_profile, random_divfree_field
     from .nonlinearity import b_batch
 
+    n, trials = 8, 100
     tab = mode_table(n)
     grid = dealias_grid(n)
     prof = powerlaw_profile(3.5)
@@ -493,7 +493,7 @@ def fit_m2_endpoint(n: int = 8, trials: int = 100, seed: int = 77,
     c_vals = [e / b**p for e, b in fit if e > 0]
     C = 1.25 * (max(c_vals) if c_vals else 1e-12)
 
-    fresh = [sample(t, 10_000) for t in range(fresh_trials)]
+    fresh = [sample(t, 10_000) for t in range(trials)]
     ok = sum(1 for e, b in fresh if e <= C * b**p)
-    return dict(C=float(C), p=float(p), feasible=ok, total=fresh_trials,
-                verdict="pass" if ok == fresh_trials else "fail")
+    return dict(C=float(C), p=float(p), feasible=ok, total=trials,
+                verdict="pass" if ok == trials else "fail")

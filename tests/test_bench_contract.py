@@ -1,10 +1,13 @@
-"""The benchmark's tracer wraps navsto attributes by name from outside the package.
+"""The benchmark reads navsto attributes by name from outside the package.
 
-perfbench/spans.py lists them in ``_WRAPPED`` and patches a few more on
-ModeTable.  A refactor that renames or drops one of them would only show as
-a crash of ``perfbench/run.py --trace 1``; these tests make it fail here.
+perfbench/spans.py lists the ones its tracer wraps in ``_WRAPPED`` and
+patches a few more on ModeTable; the workloads and the worker read others
+(``nl.b_batch``, ``nonlinearity.FFT_WORKERS``, ...) on every run.  A refactor
+that renames or drops one of them would only show as a crash of
+``perfbench/run.py``; these tests make it fail here.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -31,6 +34,26 @@ def test_every_wrapped_attribute_resolves():
     assert "__init__" in vars(spectral.ModeTable)
     assert "pad_layout" in vars(spectral.ModeTable)
     assert isinstance(spectral.mode_table(2)._pad_cache, dict)
+
+
+def navsto_reads(path: Path) -> set:
+    """(module, attribute) of every attribute read on a navsto module alias in one file."""
+    tree = ast.parse(path.read_text())
+    alias = {a.asname or a.name: a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "navsto"
+             for a in node.names}
+    return {(alias[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in alias}
+
+
+def test_every_attribute_perfbench_reads_resolves():
+    reads = set().union(*(navsto_reads(p) for p in sorted(SPANS.parent.glob("*.py"))))
+    assert {("nonlinearity", "FFT_WORKERS"), ("nonlinearity", "b_batch"),
+            ("dynamics", "run_ensemble"), ("verifier", "SweepSpec")} <= reads
+    missing = sorted((m, a) for m, a in reads
+                     if not hasattr(importlib.import_module(f"navsto.{m}"), a))
+    assert not missing
 
 
 def test_patches_install_and_restore():

@@ -69,6 +69,20 @@ class TestSimulate:
         assert (run_dir / "covariance.csv").exists()
         assert len(list(run_dir.glob("snap_0_*.bin"))) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the blown path's overflow
+    def test_blown_path_is_counted_not_raised(self, tmp_path):
+        # strong noise at low viscosity: seed 0's path blows up at step 8,
+        # and the run still writes its CSV and a manifest that counts it
+        cfgp = write_cfg(tmp_path, "resolution = 3\nscheme = expo-em\nq0 = 1e9\nnu = 0.01\n"
+                                   "dt = 1e-3\nhorizon = 0.02\n")
+        rc = cli.main(["simulate", "--config", cfgp, "--seeds", "0..0",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        run_dir = next((tmp_path / "out").glob("simulate-*"))
+        man = json.loads((run_dir / "manifest.json").read_text())
+        assert man["blowups"] == 1 and man["verdicts"] == {"simulate": "inconclusive"}
+        assert (run_dir / "path_0.csv").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfgp = write_cfg(tmp_path, SIM_CFG)
         cli.main(["simulate", "--config", cfgp, "--seeds", "0..0",

@@ -75,14 +75,14 @@ class TestConfigGuards:
 
 class TestStep:
     def test_zero_fixed_point(self):
-        rec = dyn.simulate_path(cfg_small(mode="deterministic"), keep_series=True)
+        rec = dyn.run_ensemble(cfg_small(mode="deterministic"), [0], keep_series=True).path(0)
         assert np.abs(rec.series).max() == 0.0
         assert rec.tau_r(5.0) == np.inf
 
     def test_em_linear_decay(self):
         cfg = cfg_small(mode="deterministic")
         x0 = single_mode_field(2, (1, 0, 0), [0, 0.5 + 0.1j, -0.2j])
-        rec = dyn.simulate_path(cfg, x0=x0, keep_series=True)
+        rec = dyn.run_ensemble(cfg, [0], x0=x0.coeffs, keep_series=True).path(0)
         lam = sp.stokes_eigenvalue((1, 0, 0))
         expected = x0.get((1, 0, 0)) * (1 - lam * cfg.dt) ** cfg.n_steps
         got = sp.SpectralField(2, rec.series[-1]).get((1, 0, 0))
@@ -91,7 +91,7 @@ class TestStep:
     def test_expo_linear_decay_exact(self):
         cfg = cfg_small(mode="deterministic", scheme="expo-em")
         x0 = single_mode_field(2, (1, 0, 0), [0, 0.5, 0.25])
-        rec = dyn.simulate_path(cfg, x0=x0, keep_series=True)
+        rec = dyn.run_ensemble(cfg, [0], x0=x0.coeffs, keep_series=True).path(0)
         lam = sp.stokes_eigenvalue((1, 0, 0))
         got = sp.SpectralField(2, rec.series[-1]).get((1, 0, 0))
         assert np.allclose(got, x0.get((1, 0, 0)) * np.exp(-lam * cfg.t_end), rtol=1e-13)
@@ -115,7 +115,7 @@ class TestEnergyFunctionals:
         # dominates once the O(dt^2) scheme residual is small
         cfg = cfg_small(mode="deterministic", q0=5.0, dt=1e-5, t_end=5e-4)
         x0 = single_mode_field(2, (1, 0, 0), [0, 0.01, 0.005])
-        rec = dyn.simulate_path(cfg, x0=x0)
+        rec = dyn.run_ensemble(cfg, [0], x0=x0.coeffs).path(0)
         e1 = rec.energy_series(1)
         assert np.all(np.diff(e1) < 0)
 
@@ -124,7 +124,7 @@ class TestEnergyFunctionals:
         cfg = dyn.SimConfig(n=3, dt=5e-5, t_end=2e-3, scheme="em",
                             mode="deterministic", alpha0=0.75, q0=1.0, seed=5)
         x0 = sp.random_divfree_field(3, sp.powerlaw_profile(3.0, 0.3), seed=6)
-        rec = dyn.simulate_path(cfg, x0=x0)
+        rec = dyn.run_ensemble(cfg, [0], x0=x0.coeffs).path(0)
         resid = np.abs(np.diff(rec.h2) + 2 * cfg.nu * cfg.dt * rec.v2[:-1])
         drift_scale = (rec.v2[:-1] * sp.mode_table(3).lam.max()).max()
         assert resid.max() <= 2.0 * cfg.dt**2 * drift_scale
@@ -213,10 +213,8 @@ class TestLinearizedFlow:
         h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0, 1.0), seed=22)
         du = tangent(cfg, x0, h)
         eps = 1e-5
-        up = dyn.simulate_path(cfg, path_id=0, x0=sp.SpectralField(n, x0.coeffs + eps * h.coeffs),
-                               keep_series=True)
-        um = dyn.simulate_path(cfg, path_id=0, x0=sp.SpectralField(n, x0.coeffs - eps * h.coeffs),
-                               keep_series=True)
+        up = dyn.run_ensemble(cfg, [0], x0=x0.coeffs + eps * h.coeffs, keep_series=True).path(0)
+        um = dyn.run_ensemble(cfg, [0], x0=x0.coeffs - eps * h.coeffs, keep_series=True).path(0)
         fd = (up.series - um.series) / (2 * eps)
         rel = np.abs(du - fd[-1]).max() / np.abs(fd[-1]).max()
         assert rel <= 1e-3
@@ -400,7 +398,7 @@ class TestEnsembleMachinery:
         for n in (1, 2, 3):
             assert one.energy_series(n).tobytes() == rec.energy_series(n)[3].tobytes()
         assert one.tau_r(R) == rec.tau_r(R)[3]
-        single = dyn.simulate_path(cfg, path_id=3, keep_series=True)
+        single = dyn.run_ensemble(cfg, [3], keep_series=True).path(0)
         assert single.series.tobytes() == one.series.tobytes()
         assert single.h2.tobytes() == rec.h2[3].tobytes()
 
@@ -437,12 +435,11 @@ def test_mphi_increment_is_the_noise_pairing_in_cutoff_mode():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_simulate_path_raises_typed_blowup():
-    cfg = dyn.SimConfig(n=3, dt=1e-4, t_end=2e-3, scheme="expo-em",
-                        mode="deterministic", alpha0=0.75, q0=1.0, seed=50)
-    x0 = sp.random_divfree_field(3, sp.powerlaw_profile(1.0, 1e150), seed=51)
+    # strong noise at low viscosity blows path 0 up within the horizon
+    cfg = dyn.SimConfig(n=3, dt=1e-3, t_end=0.02, nu=0.01, scheme="expo-em", q0=1e9)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(dyn.BlowupError) as exc:
-            dyn.simulate_path(cfg, x0=x0)
+            dyn.simulate_path(cfg)
     assert exc.value.step > 0
     assert exc.value.partial_record.blown
 

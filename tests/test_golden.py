@@ -149,7 +149,7 @@ def test_linearized_flow_em_cutoff_chi_prime_active():
     cfg = dyn.SimConfig(n=n, dt=5e-5, t_end=1e-3, scheme="em", mode="cutoff",
                         r=1.0, alpha0=0.25, q0=1.0, seed=4115)
     x = scaled_field(n, 4116, 0.25, 2.5)
-    u = dyn.simulate_path(cfg, x0=x, keep_series=True)
+    u = dyn.run_ensemble(cfg, [0], x0=x.coeffs, keep_series=True).path(0)
     w2 = sp.sobolev_norm_sq(u.series, sp.mode_table(n).lam, sp.theta(0.25))
     assert (dyn.chi_r_prime(w2, cfg.r) != 0.0).any()
     h = sp.random_divfree_field(n, sp.powerlaw_profile(3.0), 4117)
@@ -186,7 +186,7 @@ def test_build_control_and_replay_n4():
 def test_simulate_path_csv_with_phis(tmp_path):
     # names out of sorted order: the CSV sorts its M^phi columns by name
     cfg = em_cutoff_n4(mode="full", r=None, q0=10.0)
-    rec = dyn.simulate_path(cfg, path_id=1, phis=phis_n4(cfg))
+    rec = dyn.run_ensemble(cfg, [1], phis=phis_n4(cfg)).path(0)
     dyn.export_path_csv(rec, tmp_path / "p.csv")
     text = (tmp_path / "p.csv").read_text()
     assert text.splitlines()[0].endswith("M_alpha,M_zeta")

@@ -287,28 +287,32 @@ def test_rows_keep_their_bytes_in_any_batch(n, monkeypatch):
                 assert alone[i][j].tobytes() == w[i:i + 1].tobytes(), (name, i)
 
 
-def test_divergence_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch):
-    # batch-1 and stepper-tile transforms are too small for FFT threads to
-    # pay; only the convective b_batch hands FFT_WORKERS to its transforms
-    seen = []
+def test_b_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch):
+    # FFT_WORKERS sets tile-pool threads only: no kernel hands scipy.fft a
+    # thread count, whatever the setting
+    calls = []
 
-    def spy(fn):
-        def wrapped(*args):
-            seen.append(args[-1])
-            return fn(*args)
-        return wrapped
+    class Proxy:
+        def __getattr__(self, name):
+            fn = getattr(sfft, name)
 
-    monkeypatch.setattr(nl, "_irfft_block", spy(nl._irfft_block))
-    monkeypatch.setattr(nl, "_rfft_block", spy(nl._rfft_block))
+            def spy(*args, **kwargs):
+                # workers is the sixth positional parameter of fft/ifft
+                calls.append((name, "workers" in kwargs or len(args) > 5))
+                return fn(*args, **kwargs)
+            return spy if callable(fn) else fn
+
+    monkeypatch.setattr(nl, "sfft", Proxy())
     fft_workers(-1)
     tab, grid = sp.mode_table(4), nl.dealias_grid(4)
-    u, y = random_field(4, 11).coeffs, random_field(4, 12).coeffs
-    for call, want in ((lambda: nl.b_self_batch(u, tab, grid), 1),
-                       (lambda: nl.b_self_and_linpair(u, y, tab, grid), 1),
-                       (lambda: nl.b_batch(u, y, tab, grid), -1)):
-        seen.clear()
+    u, y = random_field(4, 11), random_field(4, 12)
+    for call in (lambda: nl.b_self_batch(u.coeffs, tab, grid),
+                 lambda: nl.b_self_and_linpair(u.coeffs, y.coeffs, tab, grid),
+                 lambda: nl.b_batch(u.coeffs, y.coeffs, tab, grid),
+                 lambda: nl.b_pseudospectral(u, y)):
+        calls.clear()
         call()
-        assert seen and set(seen) == {want}
+        assert calls and not any(threaded for _, threaded in calls)
 
 
 def test_products_buffer_grows_with_tile_bytes(monkeypatch):
@@ -435,21 +439,20 @@ class TestPrunedTransforms:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), lead=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.complex128, np.complex64]),
-           workers=st.sampled_from([1, -1]))
-    def test_match_full_cube_transforms(self, n, lead, seed, dtype, workers):
+           dtype=st.sampled_from([np.complex128, np.complex64]))
+    def test_match_full_cube_transforms(self, n, lead, seed, dtype):
         tab = sp.mode_table(n)
         grid = nl.dealias_grid(n)
         rng = np.random.default_rng(seed)
         shape = (lead, 2 * n + 1, 2 * n + 1, n + 1)
         hat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
         hat[0, rng.integers(0, 2 * n + 1)] = 0   # an all-zero x row
-        got = nl._irfft_block(hat, grid, workers)   # unnormalised: irfftn times g^3
+        got = nl._irfft_block(hat, grid)   # unnormalised: irfftn times g^3
         want = sfft.irfftn(full_cube(hat, tab, grid), s=(grid,) * 3, axes=(-3, -2, -1))
         assert got.dtype == want.dtype and rel_err(got, want * grid**3) <= self.BOUND[dtype]
 
         phys = rng.standard_normal((lead, grid, grid, grid)).astype(got.dtype)
-        got = nl._rfft_block(phys, n, workers)   # rfftn over g^3
+        got = nl._rfft_block(phys, n)   # rfftn over g^3
         full = sfft.rfftn(phys, axes=(-3, -2, -1))
         side = np.r_[0:n + 1, -n:0] % grid
         want = full[..., side[:, None], side, :n + 1]

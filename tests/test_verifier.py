@@ -230,7 +230,7 @@ class TestSweep:
             assert ratio == pytest.approx(breg_ratio(u, v, 0.75), rel=1e-12)
 
     def test_m2_endpoint_fit_feasible(self):
-        out = vf.fit_m2_endpoint(n=4, trials=30, fresh_trials=30, seed=77)
+        out = vf.fit_m2_endpoint(seed=77)
         assert out["verdict"] == "pass"
         assert out["C"] > 0 and out["p"] >= 1.0
 
