@@ -290,7 +290,7 @@ def test_rows_keep_their_bytes_in_any_batch(n, monkeypatch):
 def test_b_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch):
     # FFT_WORKERS sets tile-pool threads only: no kernel hands scipy.fft a
     # thread count, whatever the setting
-    calls = []
+    threaded = []
 
     class Proxy:
         def __getattr__(self, name):
@@ -298,7 +298,7 @@ def test_b_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch
 
             def spy(*args, **kwargs):
                 # workers is the sixth positional parameter of fft/ifft
-                calls.append((name, "workers" in kwargs or len(args) > 5))
+                threaded.append("workers" in kwargs or len(args) > 5)
                 return fn(*args, **kwargs)
             return spy if callable(fn) else fn
 
@@ -310,9 +310,9 @@ def test_b_kernels_run_their_ffts_on_the_calling_thread(fft_workers, monkeypatch
                  lambda: nl.b_self_and_linpair(u.coeffs, y.coeffs, tab, grid),
                  lambda: nl.b_batch(u.coeffs, y.coeffs, tab, grid),
                  lambda: nl.b_pseudospectral(u, y)):
-        calls.clear()
+        threaded.clear()
         call()
-        assert calls and not any(threaded for _, threaded in calls)
+        assert threaded and not any(threaded)
 
 
 def test_products_buffer_grows_with_tile_bytes(monkeypatch):
