@@ -50,7 +50,6 @@ _KEYS = {
     "seed": (int, 0),
     "snapshot_stride": (int, 0),
     "n_max": (int, 2),
-    "pad_factor": (float, 1.5),
     # ensembles / verification
     "checkpoints": (str, ""),
     "phi_modes": (str, "1 0 0; 0 1 1"),
@@ -102,6 +101,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _checked(key: str, read):
+    """read(); a ValueError or KeyError it raises is a ConfigError naming key."""
+    try:
+        return read()
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{key}: {exc.args[0]}") from exc
+
+
 def parse_config(path) -> dict:
     """Flat `key = value` text; '#' starts a comment; unknown keys rejected."""
     cfg = {k: d for k, (_, d) in _KEYS.items()}
@@ -135,7 +142,7 @@ def sim_config(cfg: dict, overrides: dict | None = None) -> dyn.SimConfig:
             n=c["resolution"], nu=c["nu"], dt=c["dt"], t_end=c["horizon"],
             scheme=c["scheme"], mode=c["mode"], r=c["cutoff_r"], alpha0=c["alpha0"],
             q0=c["q0"], seed=c["seed"], snapshot_stride=c["snapshot_stride"],
-            n_max=c["n_max"], pad_factor=c["pad_factor"])
+            n_max=c["n_max"])
         sim.n_steps   # a horizon that is not a whole number of steps is rejected here
         sim.covariance()
     except ValueError as exc:
@@ -163,9 +170,9 @@ def _phi_list(cfg: dict, cov):
     phis = []
     tab = mode_table(cfg["resolution"])
     for i, part in enumerate(cfg["phi_modes"].split(";")):
-        k = tuple(int(x) for x in part.split())
+        k = _checked("phi_modes", lambda: np.array(part.split(), dtype=np.int64).reshape(3))
+        idx = _checked("phi_modes", lambda: tab.index_of(k))
         f = SpectralField.zero(cfg["resolution"])
-        idx = tab.index_of(k)
         f.coeffs[idx] = tab.pol[idx, 0] + 0.5 * tab.pol[idx, 1]
         phis.append(vf.TestFunction.build(f, cov, f"phi{i + 1}"))
     return phis
@@ -189,10 +196,11 @@ def _out_dir(args, subcommand: str, cfg: dict, seeds) -> Path:
 
 
 def _grid_times(cfg: dict) -> list:
-    if cfg["checkpoints"]:
-        return _parse_floats(cfg["checkpoints"])
-    T = cfg["horizon"]
-    return [T / 4, T / 2, 3 * T / 4, T]
+    T, sim = cfg["horizon"], sim_config(cfg)
+    cps = _checked("checkpoints", lambda: _parse_floats(cfg["checkpoints"]))
+    cps = cps or [T / 4, T / 2, 3 * T / 4, T]
+    _checked("checkpoints", lambda: [sim.step_index(t) for t in cps])
+    return cps
 
 
 def _write_json(path: Path, obj) -> None:
@@ -271,8 +279,8 @@ def _ensemble_with_phis(cfg, seeds, amplitude=1.0):
 
 
 def cmd_verify_mp2(args, cfg, seeds, out):
-    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     cps = _grid_times(cfg)
+    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     corrupted = None
     if cfg["control_paths"]:
         _, _, _, corrupted = _ensemble_with_phis(
@@ -286,8 +294,8 @@ def cmd_verify_mp2(args, cfg, seeds, out):
 
 def cmd_verify_energy(args, cfg, seeds, out):
     moment = _moment(cfg)
-    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     cps = _grid_times(cfg)
+    sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     bias = None
     if cfg["pilot_paths"]:
         bias = vf.richardson_bias(sim, np.arange(cfg["pilot_paths"]), phis, cps)
@@ -305,6 +313,9 @@ def cmd_verify_doob(args, cfg, seeds, out):
     n = _moment(cfg)
     if cfg["lambda_count"] < 1:
         raise ConfigError(f"lambda_count = {cfg['lambda_count']} must be >= 1")
+    sim = sim_config(cfg)
+    for key in ("interval_a", "interval_b"):   # 0, the default, is on every grid
+        _checked(key, lambda: sim.step_index(cfg[key]))
     sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
     a = cfg["interval_a"] or rec.times[1]
     b = cfg["interval_b"] or rec.times[-1]
@@ -328,11 +339,12 @@ def cmd_bel_probe(args, cfg, seeds, out):
     h = _field(cfg, "h")
     cov = sim.covariance()
     phis = _phi_list(cfg, cov)
+    unclipped = _checked("psi_kind", lambda: vf.make_psi(cfg["psi_kind"], 1e30, phis[0].field))
     clip = cfg["psi_clip"]
     if clip <= 0:
         # clip at ten times the typical observable range, from a small pilot
         pilot = dyn.run_ensemble(sim, np.arange(128), x0=x.coeffs)
-        vals = vf.make_psi(cfg["psi_kind"], clip=1e30, phi=phis[0].field)(pilot.final)
+        vals = unclipped(pilot.final)
         clip = 10.0 * float(np.abs(vals).mean() + 4.0 * np.abs(vals).std())
     psi = vf.make_psi(cfg["psi_kind"], clip=clip, phi=phis[0].field)
     rep = vf.bel_gradient_probe(
@@ -343,8 +355,8 @@ def cmd_bel_probe(args, cfg, seeds, out):
 
 def cmd_sweep(args, cfg, seeds, out):
     spec = vf.SweepSpec(
-        alphas=tuple(_parse_floats(cfg["alphas"])),
-        resolutions=tuple(_parse_ints(cfg["resolutions"])),
+        alphas=_checked("alphas", lambda: tuple(_parse_floats(cfg["alphas"]))),
+        resolutions=_checked("resolutions", lambda: tuple(_parse_ints(cfg["resolutions"]))),
         trials=cfg["trials"], profile_exponent=cfg["profile_exponent"],
         eps_half=cfg["eps_half"], seed=cfg["seed"], spread_tol=cfg["spread_tol"])
     rows, summary, verdict = vf.inequality_sweep(spec)
@@ -399,8 +411,9 @@ def cmd_select_demo(args, cfg, seeds, out):
     s_grid = np.linspace(0.0, cfg["s_span"], cfg["s_count"])
     criteria = []
     for part in cfg["criteria"].split(";"):
-        fname, lam = part.split("@")
-        criteria.append(sel.SelectionCriterion(float(lam), fname.strip()))
+        fname, _, lam = part.partition("@")
+        criteria.append(
+            _checked("criteria", lambda: sel.SelectionCriterion(float(lam), fname.strip())))
     funnel = sel.enumerate_funnel(0.0, horizon, s_grid, dt)
     with open(out / "funnel.csv", "w") as fh:
         fh.write("label,branch_time,sign\n")
@@ -481,8 +494,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="0..0", help="inclusive range a..b or single id")
     ap.add_argument("--workers", type=int, default=None,
                     help="tile threads for this run (default: every core)")
-    ap.add_argument("--dt-override", type=float, default=None)
-    ap.add_argument("--scheme", default=None)
     args = ap.parse_args(argv)
     if args.workers is not None and args.workers < 1:
         ap.error("--workers must be at least 1")
@@ -495,10 +506,6 @@ def main(argv=None) -> int:
     made = None              # the output directory, when this run made it
     try:
         cfg = parse_config(args.config)
-        if args.dt_override is not None:
-            cfg["dt"] = args.dt_override
-        if args.scheme is not None:
-            cfg["scheme"] = args.scheme
         t0 = time.time()
         out = _out_dir(args, args.subcommand, cfg, seeds)
         if not out.exists():

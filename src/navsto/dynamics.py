@@ -60,7 +60,6 @@ class SimConfig:
     seed: int = 0
     snapshot_stride: int = 0
     n_max: int = 2
-    pad_factor: float = 1.5
     noise_amplitude: float = 1.0  # sampling-side corruption knob; bookkeeping unscaled
 
     def __post_init__(self):
@@ -85,6 +84,13 @@ class SimConfig:
         if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
         return steps
+
+    def step_index(self, t: float) -> int:
+        """The step of time t on the grid 0, dt, ..., n_steps dt."""
+        i = int(round(t / self.dt))
+        if not (0 <= i <= self.n_steps) or abs(i * self.dt - t) > 1e-9:
+            raise ValueError(f"time {t} is not on the grid")
+        return i
 
     def covariance(self) -> CovarianceSpec:
         return build_covariance(self.alpha0, self.q0, self.n)
@@ -181,25 +187,20 @@ class EnsembleRecord:
     blow_step: np.ndarray | int | None = None
     series: np.ndarray | None = None       # state series when kept
 
+    def energy_integrals(self, n: int) -> tuple:
+        """The dissipation and Ito-correction integrals of E^n, for n <= n_max."""
+        if n == 1:
+            return self.int_v2, self.times
+        if n not in self.int_h2nm2_v2:
+            raise ValueError(f"moment n={n} beyond tracked n_max")
+        return self.int_h2nm2_v2[n], self.int_h2nm2[n]
+
     def energy_series(self, n: int) -> np.ndarray:
         """E^n per path on the grid (left-endpoint quadrature inside)."""
         nu = self.cfg.nu
-        if n == 1:
-            diss = self.int_v2
-            ito = self.times
-        else:
-            if n not in self.int_h2nm2_v2:
-                raise ValueError(f"moment n={n} beyond tracked n_max")
-            diss = self.int_h2nm2_v2[n]
-            ito = self.int_h2nm2[n]
+        diss, ito = self.energy_integrals(n)
         return (self.h2**n + 2.0 * n * nu * diss
                 - self.h2[..., :1]**n - n * (2 * n - 1) * self.sigma_sq * ito)
-
-    def checkpoint_index(self, t: float) -> int:
-        i = int(round(t / self.cfg.dt))
-        if not (0 <= i < self.times.size) or abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the grid")
-        return i
 
     def tau_r(self, R: float) -> np.ndarray:
         return stopping_time_tau_r_series(self.w2, self.times, R)
@@ -253,7 +254,7 @@ class Scheme:
         self.cfg = cfg
         self.tab = mode_table(cfg.n)
         self.cov = cfg.covariance()
-        self.grid = dealias_grid(cfg.n, cfg.pad_factor)
+        self.grid = dealias_grid(cfg.n)
         self.tab.pad_layout(self.grid)   # built once here, read by every tile thread
         self.tile = tile_paths(6, self.grid, real.itemsize)   # paths per B(u, u) tile
         self.lam = self.tab.lam.astype(real)

@@ -39,12 +39,7 @@ from .spectral import (
     TWO_PI,
     leray_project,
     sobolev_norm,
-    theta,
 )
-
-
-class PaddingError(ValueError):
-    """Configured padding factor cannot dealias the quadratic product."""
 
 
 #: tile-pool threads (-1: all cores, as in scipy.fft): the ensemble steppers
@@ -76,12 +71,10 @@ def set_fft_workers(n: int) -> None:
     FFT_WORKERS = n
 
 
-def dealias_grid(n: int, pad_factor: float = 1.5) -> int:
-    """FFT grid size for an alias-free quadratic product at resolution n."""
-    if pad_factor < 1.5:
-        raise PaddingError(
-            f"padding factor {pad_factor} < 3/2 cannot dealias a quadratic product")
-    grid = sfft.next_fast_len(int(math.ceil(pad_factor * (2 * n + 1))))
+def dealias_grid(n: int) -> int:
+    """FFT grid size for an alias-free quadratic product at resolution n:
+    the 3/2 rule (Orszag, J. Atmos. Sci. 28, 1971) on the 2n+1 wavenumbers."""
+    grid = sfft.next_fast_len(math.ceil(1.5 * (2 * n + 1)))
     # alias wrap of |l+m| <= 2n lands at |s - grid| >= n+1 outside truncation
     assert grid >= 3 * n + 1
     return grid
@@ -423,31 +416,6 @@ def b_pseudospectral(u: SpectralField, v: SpectralField) -> SpectralField:
     grid = dealias_grid(u.n)
     coeffs = b_batch(u.coeffs, v.coeffs, u.table, grid)
     return SpectralField(u.n, coeffs)
-
-
-# -- continuity-estimate probes -----------------------------------------------
-
-def breg_ratio(u: SpectralField, v: SpectralField, alpha: float,
-               eps: float | None = None) -> float:
-    """||B(u,v)||_{alpha-1/4} / (||u||_{theta} ||v||_{theta}).
-
-    At the borderline alpha = 1/2 the target exponent drops to 1/4 - eps and
-    an explicit eps > 0 is required.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    nu = sobolev_norm(u, theta(alpha))
-    nv = sobolev_norm(v, theta(alpha))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroDivisionError("breg_ratio undefined for a zero input field")
-    if alpha == 0.5:
-        if eps is None or eps <= 0:
-            raise ValueError("alpha = 1/2 needs an explicit eps > 0")
-        target = 0.25 - eps
-    else:
-        target = alpha - 0.25
-    b = b_pseudospectral(u, v)
-    return sobolev_norm(b, target) / (nu * nv)
 
 
 def skew_pairing_residual(u: SpectralField, v: SpectralField) -> float:

@@ -300,10 +300,6 @@ def leray_project(coeffs: np.ndarray, table: ModeTable) -> np.ndarray:
     return coeffs - dots[..., None] * (k / (table.k_sq.astype(k.dtype))[:, None])
 
 
-def leray_project_field(raw: SpectralField) -> SpectralField:
-    return SpectralField(raw.n, leray_project(raw.coeffs, raw.table))
-
-
 def random_divfree_field(n: int, profile, seed: int, stream: int = 0) -> SpectralField:
     """Deterministic random field with per-|k| amplitude from `profile`.
 
@@ -399,33 +395,3 @@ def read_snapshot(path) -> SpectralField:
         raise ValueError("snapshot mode ordering does not match canonical table")
     coeffs = rec["c"][:, 0::2] + 1j * rec["c"][:, 1::2]
     return SpectralField(n, coeffs.astype(np.complex128))
-
-
-def write_snapshot_csv(field: SpectralField, path) -> None:
-    tab = field.table
-    with open(path, "w") as fh:
-        fh.write("k1,k2,k3,re1,im1,re2,im2,re3,im3\n")
-        for k, c in zip(tab.kvec, field.coeffs):
-            vals = [f"{c[j].real:.17g},{c[j].imag:.17g}" for j in range(3)]
-            fh.write(f"{k[0]},{k[1]},{k[2]}," + ",".join(vals) + "\n")
-
-
-def read_snapshot_csv(path, n: int) -> SpectralField:
-    """Rows may come in any order, each at k or (conjugated) at -k.
-
-    Real and imaginary parts are copied as written, signed zeros included.
-    """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    tab = mode_table(n)
-    k = data[:, :3].astype(np.int64)
-    at_k, at_minus_k = tab.rows(k), tab.rows(-k)
-    stored = at_k >= 0
-    rows = np.where(stored, at_k, at_minus_k)
-    if (rows < 0).any():
-        bad = tuple(int(x) for x in k[np.argmax(rows < 0)])
-        raise KeyError(f"wavevector {bad} outside truncation N={n}")
-    c = np.empty((rows.size, 3), dtype=np.complex128)
-    c.real, c.imag = data[:, 3::2], np.where(stored[:, None], data[:, 4::2], -data[:, 4::2])
-    field = SpectralField.zero(n)
-    field.coeffs[rows] = c
-    return field

@@ -151,17 +151,17 @@ def richardson_bias(cfg: SimConfig, path_ids, phis, checkpoints) -> dict:
 
     for j, phi in enumerate(phis):
         for t in checkpoints:
-            ic = coarse.checkpoint_index(t)
+            ic = coarse.cfg.step_index(t)
             delta = coarse.mphi[j, :, ic] - fine.mphi[j, :, 2 * ic]
             out["mphi_mean"][(phi.name, t)] = allowance(delta)
     for n in (1, 2):
         ec = coarse.energy_series(n)
         ef = fine.energy_series(n)
         for t in checkpoints:
-            ic = coarse.checkpoint_index(t)
+            ic = coarse.cfg.step_index(t)
             out["e_mean"][(n, t)] = allowance(ec[:, ic] - ef[:, 2 * ic])
         for s, t in _windows(checkpoints):
-            i_s, i_t = coarse.checkpoint_index(s), coarse.checkpoint_index(t)
+            i_s, i_t = coarse.cfg.step_index(s), coarse.cfg.step_index(t)
             dc = ec[:, i_t] - ec[:, i_s]
             df = ef[:, 2 * i_t] - ef[:, 2 * i_s]
             out["e_inc"][(n, s, t)] = allowance(dc - df)
@@ -174,7 +174,7 @@ def _var_ratio(rec: EnsembleRecord, cfg: SimConfig, cov: CovarianceSpec, j: int,
                phi: TestFunction, t: float):
     """Sample variance of M^phi at t over the scheme-exact QV of `cfg`, with
     its standard error and 99% chi-square band: (ratio, se, lo, hi)."""
-    i = rec.checkpoint_index(t)
+    i = rec.cfg.step_index(t)
     P = rec.path_ids.size
     ratio = float(rec.mphi[j, :, i].var(ddof=1) / mphi_variance_reference(cfg, cov, phi, i))
     return (ratio, float(np.sqrt(2.0 / (P - 1))),
@@ -200,14 +200,14 @@ def test_mp2_martingale(rec: EnsembleRecord, phis, checkpoints,
     for j, phi in enumerate(phis):
         for t in checkpoints:
             label = f"{phi.name}@t={t:g}"
-            m, se = _mean_se(rec.mphi[j, :, rec.checkpoint_index(t)])
+            m, se = _mean_se(rec.mphi[j, :, cfg.step_index(t)])
             allow = 4.0 * se + mphi_bias.get((phi.name, t), 0.0)
             rep.add(f"mean[{label}]", m, se, -allow, allow)
             rep.add(f"varratio[{label}]", *_var_ratio(rec, cfg, cov, j, phi, t))
         # increment orthogonality over consecutive checkpoint windows
         corr_band = 4.0 / np.sqrt(P)
         for s, t in _windows(checkpoints):
-            i_s, i_t = rec.checkpoint_index(s), rec.checkpoint_index(t)
+            i_s, i_t = cfg.step_index(s), cfg.step_index(t)
             inc = rec.mphi[j, :, i_t] - rec.mphi[j, :, i_s]
             for gname, g in (("H2", rec.h2[:, i_s]), ("proj", rec.proj_phi[j, :, i_s])):
                 if inc.std() == 0.0 or g.std() == 0.0:
@@ -255,11 +255,11 @@ def test_energy_supermartingale(rec: EnsembleRecord, n: int, checkpoints,
 
     if n == 1:
         for t in checkpoints:
-            m, se = _mean_se(E[:, rec.checkpoint_index(t)])
+            m, se = _mean_se(E[:, cfg.step_index(t)])
             allow = 4.0 * se + e_mean.get((1, t), 0.0)
             rep.add(f"meanE1@t={t:g}", m, se, -allow, allow)
     for s, t in _windows(checkpoints):
-        m, se = _mean_se(E[:, rec.checkpoint_index(t)] - E[:, rec.checkpoint_index(s)])
+        m, se = _mean_se(E[:, cfg.step_index(t)] - E[:, cfg.step_index(s)])
         rep.add(f"incE{n}@({s:g},{t:g})", m, se, -np.inf,
                 4.0 * se + e_inc.get((n, s, t), 0.0))
     return rep
@@ -275,12 +275,9 @@ def test_doob(rec: EnsembleRecord, n: int, interval, lam_grid) -> TestReport:
     """
     cfg = rec.cfg
     a, b = interval
-    i_a, i_b = rec.checkpoint_index(a), rec.checkpoint_index(b)
+    i_a, i_b = cfg.step_index(a), cfg.step_index(b)
     nu = cfg.nu
-    if n == 1:
-        diss, ito = rec.int_v2, rec.times[None, :]
-    else:
-        diss, ito = rec.int_h2nm2_v2[n], rec.int_h2nm2[n]
+    diss, ito = rec.energy_integrals(n)
     alpha = rec.h2**n + 2.0 * n * nu * diss
     beta = rec.h2[:, :1]**n + n * (2 * n - 1) * rec.sigma_sq * ito
     theta_ = alpha - beta

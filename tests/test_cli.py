@@ -99,9 +99,9 @@ class TestSimulate:
 
     def test_dt_override_changes_hash(self, tmp_path):
         cfgp = write_cfg(tmp_path, SIM_CFG)
+        finer = write_cfg(tmp_path, SIM_CFG.replace("dt = 2e-4", "dt = 1e-4"), "finer.cfg")
         cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "c")])
-        cli.main(["simulate", "--config", cfgp, "--dt-override", "1e-4",
-                  "--out", str(tmp_path / "c")])
+        cli.main(["simulate", "--config", finer, "--out", str(tmp_path / "c")])
         assert len(list((tmp_path / "c").glob("simulate-*"))) == 2
 
 
@@ -208,6 +208,28 @@ def test_every_config_key_is_read():
     assert sorted(set(cli._KEYS) - read) == []
 
 
+def test_every_export_is_read_outside_the_tests():
+    """Each name navsto/__init__.py exports is read (as a name or an attribute)
+    in another module of src/navsto, in perfbench/*.py or in the acceptance
+    criteria, so no export exists for unit tests alone."""
+    import ast
+    import navsto
+    pkg = Path(navsto.__file__).parent
+    repo = pkg.parents[1]
+    files = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
+    files += [*(repo / "perfbench").glob("*.py"), repo / "tests" / "test_acceptance.py"]
+    read = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    exported = {a.asname or a.name for node in ast.parse((pkg / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert sorted(exported - read) == []
+
+
 TINY = {  # subcommand: (seeds, config), each small enough to run in about a second
     "simulate": ("0..1", SIM_CFG),
     "verify-mp2": ("0..49", TestVerifyCli.MP2.replace("control_paths = 300", "control_paths = 20")
@@ -297,6 +319,14 @@ def test_rejected_sim_config_is_a_config_error(tmp_path, capsys):
     ("verify-energy", "moment = 3"),
     ("verify-doob", "moment = 3"),
     ("verify-doob", "lambda_count = 0"),
+    ("verify-mp2", "checkpoints = 0.002,abc"),
+    ("verify-mp2", "checkpoints = 0.0015"),
+    ("verify-energy", "checkpoints = 0.0015"),
+    ("verify-doob", "interval_a = 0.0015"),
+    ("verify-doob", "phi_modes = 1 0"),
+    ("select-demo", "criteria = x"),
+    ("sweep-inequalities", "resolutions = 8,x"),
+    ("bel-probe", "psi_kind = nope"),
 ])
 def test_bad_value_is_a_config_error_before_any_work(tmp_path, capsys, sub, line):
     cfgp = write_cfg(tmp_path, f"scheme = expo-em\nhorizon = 0.002\n{line}\n")

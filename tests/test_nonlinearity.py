@@ -96,7 +96,7 @@ class TestDirect:
     def test_single_mode_self_advection_vanishes(self):
         u = sp.SpectralField.zero(3)
         u.set((2, 1, 0), np.array([1.0, -2.0, 0.5j]))
-        u = sp.leray_project_field(u)
+        u = sp.SpectralField(3, sp.leray_project(u.coeffs, u.table))
         b = nl.b_direct(u, u)
         assert np.abs(b.coeffs).max() <= 1e-14
 
@@ -154,15 +154,11 @@ class TestPseudospectral:
         b = nl.b_pseudospectral(random_field(5, 3), random_field(5, 4))
         assert sp.divergence_residual(b) <= 1e-12
 
-    def test_insufficient_padding_refused(self):
-        with pytest.raises(nl.PaddingError):
-            nl.dealias_grid(4, pad_factor=1.2)
-
     def test_paranoia_padding_agrees(self):
         u, v = random_field(4, 7).coeffs, random_field(4, 8).coeffs
         tab = sp.mode_table(4)
         b1 = nl.b_batch(u, v, tab, nl.dealias_grid(4))
-        b2 = nl.b_batch(u, v, tab, nl.dealias_grid(4, 2.0))
+        b2 = nl.b_batch(u, v, tab, 18)   # 2x padding of the 9 wavenumbers
         assert np.abs(b1 - b2).max() <= 1e-12 * np.abs(b1).max()
 
     def test_divergence_form_kernels_agree(self):
@@ -535,27 +531,3 @@ def test_self_advection_is_energy_neutral(n, seed, s):
     h2 = sp.sobolev_norm_sq(u, tab.lam, 0.0)
     v = np.sqrt(sp.sobolev_norm_sq(u, tab.lam, 0.5))
     assert abs(sp.pair_with(b, u)) <= 1e-13 * 2 * np.pi * h2 * v
-
-
-class TestBregRatio:
-    def test_scale_invariance(self):
-        u, v = random_field(4, 70), random_field(4, 71)
-        r1 = nl.breg_ratio(u, v, 0.75)
-        r2 = nl.breg_ratio(-3.2 * u, -3.2 * v, 0.75)
-        assert r1 == pytest.approx(r2, rel=1e-12)
-
-    def test_half_requires_eps(self):
-        u, v = random_field(4, 72), random_field(4, 73)
-        with pytest.raises(ValueError):
-            nl.breg_ratio(u, v, 0.5)
-        assert nl.breg_ratio(u, v, 0.5, eps=0.01) > 0
-
-    def test_zero_field_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            nl.breg_ratio(sp.SpectralField.zero(4), random_field(4, 74), 0.75)
-
-    def test_regression_baseline_alpha075_n8(self):
-        # frozen artifact of the first build: no external truth claimed
-        u = sp.random_divfree_field(8, sp.powerlaw_profile(3.0), seed=810, stream=0)
-        v = sp.random_divfree_field(8, sp.powerlaw_profile(3.0), seed=810, stream=1)
-        assert nl.breg_ratio(u, v, 0.75) == pytest.approx(0.004758534918468283, rel=1e-9)

@@ -178,31 +178,6 @@ class TestSnapshotIO:
         assert n == 3 and count == u.table.n_modes
         assert len(raw) == 8 + count * (3 * 4 + 6 * 8)
 
-    def test_csv_round_trip(self, tmp_path):
-        u = random_field(3, 33)
-        p = tmp_path / "field.csv"
-        sp.write_snapshot_csv(u, p)
-        v = sp.read_snapshot_csv(p, 3)
-        assert np.abs(v.coeffs - u.coeffs).max() <= 1e-15
-        assert v.coeffs.tobytes() == u.coeffs.tobytes()
-        # rows in any order, and every other row written at -k, conjugated
-        header, *rows = p.read_text().splitlines()
-        order = np.random.default_rng(0).permutation(len(rows))
-        shuffled = tmp_path / "shuffled.csv"
-        shuffled.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
-        assert sp.read_snapshot_csv(shuffled, 3).coeffs.tobytes() == u.coeffs.tobytes()
-        mirrored = tmp_path / "mirrored.csv"
-        sp.write_snapshot_csv(sp.SpectralField(3, np.conj(u.coeffs)), mirrored)
-        conj_rows = mirrored.read_text().splitlines()[1:]
-        for i in range(0, len(rows), 2):
-            k1, k2, k3, vals = conj_rows[i].split(",", 3)
-            rows[i] = f"{-int(k1)},{-int(k2)},{-int(k3)},{vals}"
-        mirrored.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
-        assert sp.read_snapshot_csv(mirrored, 3).coeffs.tobytes() == u.coeffs.tobytes()
-        p.write_text(header + "\n0,0,0,1,0,0,0,0,0\n")
-        with pytest.raises(KeyError):   # the zero mode is never stored
-            sp.read_snapshot_csv(p, 3)
-
     def test_restrict_field_shares_modes(self):
         u = random_field(8, 34)
         r = sp.restrict_field(u, 4)

@@ -133,6 +133,12 @@ class TestDoob:
         lhs = [e for e in rep.estimates if e["label"].startswith("lhs")][0]["value"]
         assert lhs == 0.0 and rep.verdict == "pass"
 
+    def test_moment_guard(self, mp2_setup):
+        # the record tracks E^1..E^n_max (n_max = 2) for energy_series and Doob alike
+        cfg, cov, phis, rec = mp2_setup
+        with pytest.raises(ValueError, match="beyond tracked n_max"):
+            vf.test_doob(rec, 3, (0.003, 0.012), [1.0])
+
     def test_degenerate_zero_paths(self):
         cfg = dyn.SimConfig(n=2, dt=1e-3, t_end=0.004, scheme="em",
                             mode="deterministic", alpha0=0.75, q0=10.0, seed=1)
@@ -220,14 +226,16 @@ class TestSweep:
         assert rows == [] and summary == {} and verdict == "bounded"
 
     def test_delegation_matches_breg_ratio(self):
-        from navsto.nonlinearity import breg_ratio
+        from navsto.nonlinearity import b_pseudospectral
         spec = vf.SweepSpec(alphas=(0.75,), include_half=False, resolutions=(4,),
                             trials=2, profile_exponent=5.0, seed=91)
         rows, _, _ = vf.inequality_sweep(spec)
         for label, n, trial, ratio in rows:
             u = sp.random_divfree_field(4, sp.powerlaw_profile(5.0), 91, stream=2 * trial)
             v = sp.random_divfree_field(4, sp.powerlaw_profile(5.0), 91, stream=2 * trial + 1)
-            assert ratio == pytest.approx(breg_ratio(u, v, 0.75), rel=1e-12)
+            ref = (sp.sobolev_norm(b_pseudospectral(u, v), 0.5)
+                   / (sp.sobolev_norm(u, 1.0) * sp.sobolev_norm(v, 1.0)))
+            assert ratio == pytest.approx(ref, rel=1e-12)
 
     def test_m2_endpoint_fit_feasible(self):
         out = vf.fit_m2_endpoint(seed=77)
@@ -253,7 +261,7 @@ class TestBandRule:
         cov = cfg.covariance()
         phis = [_phi(3, cov), _phi(3, cov, k=(0, 1, 1), name="phi2")]
         rec = dyn.run_ensemble(cfg, np.arange(200), phis=phis)
-        i = rec.checkpoint_index(0.006)
+        i = cfg.step_index(0.006)
         mphi, h2 = rec.mphi.copy(), rec.h2.copy()
         mphi[0, 3, i] = np.nan   # phi1 on one path
         h2[3, i] = np.nan
@@ -348,3 +356,12 @@ class TestNegativeControls:
                             trials=10, profile_exponent=3.0, seed=58)
         _, _, verdict = vf.inequality_sweep(spec)
         assert verdict == "unbounded"
+
+
+def test_mp2_size_script_runs(monkeypatch):
+    """tests/calibrate_mp2_size.py, which pytest does not collect, on 2 blocks of 20 paths."""
+    import calibrate_mp2_size as cal
+    monkeypatch.setattr(cal, "PILOT_PATHS", 20)
+    out = cal.main(["--blocks", "2", "--paths", "20"])
+    assert out["blocks"] == 2 and out["paths_per_block"] == 20
+    assert sorted(out["sub_tests"]) == ["doob", "energy-E1", "energy-E2", "mp2"]
