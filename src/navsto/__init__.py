@@ -15,4 +15,4 @@ from .spectral import (  # noqa: F401
 )
 from .nonlinearity import b_direct, b_pseudospectral  # noqa: F401
 from .noise import build_covariance  # noqa: F401
-from .dynamics import SimConfig, chi_r, simulate_path  # noqa: F401
+from .dynamics import SimConfig, chi_r  # noqa: F401

@@ -49,7 +49,6 @@ _KEYS = {
     "q0": (float, 1.0),
     "seed": (int, 0),
     "snapshot_stride": (int, 0),
-    "n_max": (int, 2),
     # ensembles / verification
     "checkpoints": (str, ""),
     "phi_modes": (str, "1 0 0; 0 1 1"),
@@ -141,8 +140,7 @@ def sim_config(cfg: dict, overrides: dict | None = None) -> dyn.SimConfig:
         sim = dyn.SimConfig(
             n=c["resolution"], nu=c["nu"], dt=c["dt"], t_end=c["horizon"],
             scheme=c["scheme"], mode=c["mode"], r=c["cutoff_r"], alpha0=c["alpha0"],
-            q0=c["q0"], seed=c["seed"], snapshot_stride=c["snapshot_stride"],
-            n_max=c["n_max"])
+            q0=c["q0"], seed=c["seed"])
         sim.n_steps   # a horizon that is not a whole number of steps is rejected here
         sim.covariance()
     except ValueError as exc:
@@ -151,10 +149,10 @@ def sim_config(cfg: dict, overrides: dict | None = None) -> dyn.SimConfig:
 
 
 def _moment(cfg: dict) -> int:
-    """The energy moment; the record tracks E^1..E^n_max."""
+    """The energy moment n of E^n."""
     n = cfg["moment"]
-    if not 1 <= n <= cfg["n_max"]:
-        raise ConfigError(f"moment = {n} must lie in 1..n_max = {cfg['n_max']}")
+    if n < 1:
+        raise ConfigError(f"moment = {n} must be >= 1")
     return n
 
 
@@ -199,7 +197,9 @@ def _grid_times(cfg: dict) -> list:
     T, sim = cfg["horizon"], sim_config(cfg)
     cps = _checked("checkpoints", lambda: _parse_floats(cfg["checkpoints"]))
     cps = cps or [T / 4, T / 2, 3 * T / 4, T]
-    _checked("checkpoints", lambda: [sim.step_index(t) for t in cps])
+    steps = _checked("checkpoints", lambda: [sim.step_index(t) for t in cps])
+    if any(i >= j for i, j in zip(steps, steps[1:])):
+        raise ConfigError(f"checkpoints: {cps} must be strictly increasing")
     return cps
 
 
@@ -247,23 +247,20 @@ def _seed_range(spec: str) -> list:
 
 def cmd_simulate(args, cfg, seeds, out):
     sim = sim_config(cfg)
+    stride = cfg["snapshot_stride"]
     artifacts, blow = {}, 0
-    cov = sim.covariance()
-    dump_covariance_csv(cov, out / "covariance.csv")
+    dump_covariance_csv(sim.covariance(), out / "covariance.csv")
     artifacts["covariance"] = "covariance.csv"
-    for s in seeds:
-        try:
-            rec = dyn.simulate_path(sim, path_id=s)
-        except dyn.BlowupError as err:   # the seed's partial path is still written
-            rec = err.partial_record
-        stride = max(sim.snapshot_stride, 1)
+    for s in seeds:   # a blown path's partial record is written too, and counted
+        rec = dyn.run_ensemble(sim, [s], keep_series=bool(stride)).path(0)
         name = f"path_{s}.csv"
-        dyn.export_path_csv(rec, out / name, stride=stride)
+        dyn.export_path_csv(rec, out / name, stride=max(stride, 1))
         artifacts[f"path_{s}"] = name
-        for t, snap in rec.snapshots():
-            fn = f"snap_{s}_{t:.6f}.bin"
-            write_snapshot(snap, out / fn)
-            artifacts[fn] = fn
+        if stride:
+            for i in range(0, rec.times.size, stride):
+                fn = f"snap_{s}_{rec.times[i]:.6f}.bin"
+                write_snapshot(SpectralField(sim.n, rec.series[i]), out / fn)
+                artifacts[fn] = fn
         blow += int(rec.blown)
     return artifacts, {"simulate": "pass" if blow == 0 else "inconclusive"}, blow
 
@@ -316,9 +313,11 @@ def cmd_verify_doob(args, cfg, seeds, out):
     sim = sim_config(cfg)
     for key in ("interval_a", "interval_b"):   # 0, the default, is on every grid
         _checked(key, lambda: sim.step_index(cfg[key]))
+    # 0 stands for the first and the last step, as the record's times hold them
+    a, b = cfg["interval_a"] or sim.dt, cfg["interval_b"] or sim.n_steps * sim.dt
+    if a > b:
+        raise ConfigError(f"interval_a = {a:g} lies after interval_b = {b:g}")
     sim, cov, phis, rec = _ensemble_with_phis(cfg, seeds)
-    a = cfg["interval_a"] or rec.times[1]
-    b = cfg["interval_b"] or rec.times[-1]
     alpha = rec.h2**n
     top = float(np.nanmax(alpha)) * (1 + 2 * n)
     lam_grid = np.linspace(top / cfg["lambda_count"], top, cfg["lambda_count"])

@@ -58,8 +58,6 @@ class SimConfig:
     alpha0: float = 0.75
     q0: float = 1.0
     seed: int = 0
-    snapshot_stride: int = 0
-    n_max: int = 2
     noise_amplitude: float = 1.0  # sampling-side corruption knob; bookkeeping unscaled
 
     def __post_init__(self):
@@ -164,9 +162,9 @@ class EnsembleRecord:
     """Functional time series of an ensemble of paths, or of one path.
 
     Per-path arrays lead with the path axis: h2 is (P, S+1), series
-    (P, S+1, K, 3) and mphi (n_phi, P, S+1).  A one-path record (`path(i)`,
-    `simulate_path` and `solve_controlled`) has no path axis: h2 is
-    (S+1,), series (S+1, K, 3) and mphi (n_phi, S+1).
+    (P, S+1, K, 3) and mphi (n_phi, P, S+1).  A one-path record (`path(i)`
+    and `solve_controlled`) has no path axis: h2 is (S+1,), series
+    (S+1, K, 3) and mphi (n_phi, S+1).
     """
 
     cfg: SimConfig
@@ -175,9 +173,6 @@ class EnsembleRecord:
     h2: np.ndarray                         # |u|_H^2
     v2: np.ndarray                         # |u|_V^2
     w2: np.ndarray                         # |u|_W^2
-    int_v2: np.ndarray                     # cumulative |u|_V^2
-    int_h2nm2_v2: dict                     # n -> cumulative |u|^{2n-2}|u|_V^2
-    int_h2nm2: dict                        # n -> cumulative |u|^{2n-2}
     sigma_sq: float
     phi_names: tuple                       # name of each M^phi row
     mphi: np.ndarray | None = None         # M^phi per test function
@@ -188,12 +183,22 @@ class EnsembleRecord:
     series: np.ndarray | None = None       # state series when kept
 
     def energy_integrals(self, n: int) -> tuple:
-        """The dissipation and Ito-correction integrals of E^n, for n <= n_max."""
+        """The dissipation and Ito-correction integrals of E^n (n >= 1), by
+        left-endpoint quadrature: np.cumsum adds in step order, as a loop of
+        int[s + 1] = int[s] + dt f[s] would."""
+        if n < 1:
+            raise ValueError(f"moment n={n} must be >= 1")
+        dt, v2 = self.cfg.dt, self.v2[..., :-1]
+
+        def running(f):
+            out = np.zeros(self.h2.shape)
+            np.cumsum(f, axis=-1, out=out[..., 1:])
+            return out
+
         if n == 1:
-            return self.int_v2, self.times
-        if n not in self.int_h2nm2_v2:
-            raise ValueError(f"moment n={n} beyond tracked n_max")
-        return self.int_h2nm2_v2[n], self.int_h2nm2[n]
+            return running(dt * v2), self.times
+        hp = self.h2[..., :-1] ** (n - 1)
+        return running(dt * hp * v2), running(dt * hp)
 
     def energy_series(self, n: int) -> np.ndarray:
         """E^n per path on the grid (left-endpoint quadrature inside)."""
@@ -205,29 +210,21 @@ class EnsembleRecord:
     def tau_r(self, R: float) -> np.ndarray:
         return stopping_time_tau_r_series(self.w2, self.times, R)
 
-    def path(self, i: int) -> "EnsembleRecord":
-        """The one-path record of row i."""
+    def path(self, i: int | slice) -> "EnsembleRecord":
+        """The one-path record of row i, or the record of the rows in slice i."""
         def row(a):
             return None if a is None else a[i]
 
         def phi_row(a):
             return None if a is None else a[:, i]
 
+        blown, blow_step = self.blown[i], self.blow_step[i]
+        if not isinstance(i, slice):
+            blown, blow_step = bool(blown), int(blow_step)
         return replace(
             self, path_ids=self.path_ids[i], h2=self.h2[i], v2=self.v2[i], w2=self.w2[i],
-            int_v2=self.int_v2[i],
-            int_h2nm2_v2={n: a[i] for n, a in self.int_h2nm2_v2.items()},
-            int_h2nm2={n: a[i] for n, a in self.int_h2nm2.items()},
             mphi=phi_row(self.mphi), proj_phi=phi_row(self.proj_phi), final=row(self.final),
-            blown=bool(self.blown[i]), blow_step=int(self.blow_step[i]), series=row(self.series))
-
-    def snapshots(self) -> list:
-        """[(t, field)] every cfg.snapshot_stride steps of a one-path series."""
-        stride = self.cfg.snapshot_stride
-        if not stride or self.series is None:
-            return []
-        return [(self.times[s], SpectralField(self.cfg.n, self.series[s].copy()))
-                for s in range(0, self.times.size, stride)]
+            blown=blown, blow_step=blow_step, series=row(self.series))
 
 
 def stopping_time_tau_r_series(w2: np.ndarray, times: np.ndarray, R: float) -> np.ndarray:
@@ -392,14 +389,10 @@ def run_ensemble(cfg: SimConfig, path_ids, x0=None, phis=(), noise=None,
     sch = Scheme(cfg, np.complex128)
     path_ids = np.asarray(path_ids, dtype=np.int64)
     P, S, K = path_ids.size, cfg.n_steps, sch.tab.n_modes
-    moments = range(2, cfg.n_max + 1)
     n_phi = len(phis)
     rec = EnsembleRecord(
         cfg=cfg, path_ids=path_ids, times=np.arange(S + 1) * cfg.dt,
         h2=np.empty((P, S + 1)), v2=np.empty((P, S + 1)), w2=np.empty((P, S + 1)),
-        int_v2=np.zeros((P, S + 1)),
-        int_h2nm2_v2={n: np.zeros((P, S + 1)) for n in moments},
-        int_h2nm2={n: np.zeros((P, S + 1)) for n in moments},
         sigma_sq=sch.cov.sigma_sq_total,
         phi_names=tuple(getattr(p, "name", f"phi{j}") for j, p in enumerate(phis)),
         mphi=np.zeros((n_phi, P, S + 1)) if n_phi else None,
@@ -422,11 +415,10 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, x0: np.ndarray, phis, noise) ->
     Named for perfbench/spans.py, which wraps it as the ensemble stepper's
     span.  A path tile's step runs B, its increments from the noise source,
     the step, the M^phi increments, the blow-up census and the norms and
-    <u, phi> of its new states, writing only its own rows of the record;
-    after its last step the tile forms its rows' running integrals.
+    <u, phi> of its new states, writing only its own rows of the record.
     """
     cfg = sch.cfg
-    dt, nu, S = cfg.dt, cfg.nu, cfg.n_steps
+    dt, nu = cfg.dt, cfg.nu
     ids, h2, v2, w2, mphi, proj = rec.path_ids, rec.h2, rec.v2, rec.w2, rec.mphi, rec.proj_phi
     blown, blow_step, series = rec.blown, rec.blow_step, rec.series
 
@@ -437,15 +429,6 @@ def _run_chunk(sch: Scheme, rec: EnsembleRecord, x0: np.ndarray, phis, noise) ->
             proj[j, rows, s] = pair_with(v, phi.coeffs)
         if series is not None:
             series[rows, s] = v
-        if s < S:
-            return
-        # left-endpoint quadrature of the running integrals: np.cumsum adds in
-        # step order, as a loop of int[s + 1] = int[s] + dt f[s] would
-        np.cumsum(dt * v2[rows, :-1], axis=1, out=rec.int_v2[rows, 1:])
-        for n in rec.int_h2nm2_v2:
-            hp = h2[rows, :-1] ** (n - 1)
-            np.cumsum(dt * hp * v2[rows, :-1], axis=1, out=rec.int_h2nm2_v2[n][rows, 1:])
-            np.cumsum(dt * hp, axis=1, out=rec.int_h2nm2[n][rows, 1:])
 
     def step_tile(s: int, rows: slice, now: tuple, nxt: tuple) -> None:
         (ut,), (un,) = now, nxt
@@ -483,22 +466,6 @@ def step(u: SpectralField, cfg: SimConfig, noise: SpectralField | None = None) -
     if rec.blown[0]:
         raise BlowupError(0, -1)
     return SpectralField(cfg.n, rec.final[0])
-
-
-# -- single-path front door ----------------------------------------------------
-
-def simulate_path(cfg: SimConfig, path_id: int = 0) -> EnsembleRecord:
-    """Integrate one path from rest, keeping its series when snapshot_stride is set.
-
-    A nonfinite state aborts with BlowupError carrying the step index and
-    the partial record; ensembles instead census blow-ups per path.
-    """
-    record = run_ensemble(cfg, [path_id], keep_series=bool(cfg.snapshot_stride)).path(0)
-    if record.blown:
-        err = BlowupError(record.blow_step, path_id)
-        err.partial_record = record
-        raise err
-    return record
 
 
 # -- weak-strong paired runs ---------------------------------------------------
@@ -734,9 +701,9 @@ def _tangent_chunk(cfg: SimConfig, x: np.ndarray, h: np.ndarray, ids: np.ndarray
 
 
 def export_path_csv(rec: EnsembleRecord, path, stride: int = 1) -> None:
-    """Time series export of a one-path record: t, H norm, V^2, W^2,
-    E^1..E^n_max and the M^phi columns sorted by name."""
-    moments = [1] + sorted(rec.int_h2nm2_v2.keys())
+    """Time series export of a one-path record: t, H norm, V^2, W^2, E^1,
+    E^2 and the M^phi columns sorted by name."""
+    moments = [1, 2]
     energies = {n: rec.energy_series(n) for n in moments}
     mphi = dict(zip(rec.phi_names, () if rec.mphi is None else rec.mphi))
     names = sorted(mphi)

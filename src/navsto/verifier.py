@@ -244,7 +244,7 @@ def test_energy_supermartingale(rec: EnsembleRecord, n: int, checkpoints,
     is additionally pinned two-sided around zero.
     """
     cfg = rec.cfg
-    E = rec.energy_series(n)   # rejects a moment beyond the tracked n_max
+    E = rec.energy_series(n)   # rejects a moment below 1
     e_mean = (bias or {}).get("e_mean", {})
     e_inc = (bias or {}).get("e_inc", {})
     rep = TestReport(

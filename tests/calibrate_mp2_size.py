@@ -21,7 +21,6 @@ import argparse
 import json
 import time
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,17 +39,6 @@ def phi(n, cov, k, name):
     i = tab.index_of(k)
     f.coeffs[i] = tab.pol[i, 0] + 0.5 * tab.pol[i, 1]
     return vf.TestFunction.build(f, cov, name)
-
-
-def block(rec, rows):
-    """The record of the paths in rows (a slice)."""
-    return replace(
-        rec, path_ids=rec.path_ids[rows], h2=rec.h2[rows], v2=rec.v2[rows],
-        w2=rec.w2[rows], int_v2=rec.int_v2[rows],
-        int_h2nm2_v2={n: a[rows] for n, a in rec.int_h2nm2_v2.items()},
-        int_h2nm2={n: a[rows] for n, a in rec.int_h2nm2.items()},
-        mphi=rec.mphi[:, rows], proj_phi=rec.proj_phi[:, rows],
-        blown=rec.blown[rows], blow_step=rec.blow_step[rows])
 
 
 def suites(rec, phis, cov, bias):
@@ -86,7 +74,7 @@ def main(argv=None) -> dict:
     any_fail = 0
     n_sub = {}
     for b in range(args.blocks):
-        reps = suites(block(rec, slice(b * args.paths, (b + 1) * args.paths)), phis, cov, bias)
+        reps = suites(rec.path(slice(b * args.paths, (b + 1) * args.paths)), phis, cov, bias)
         for name, rep in reps.items():
             labels = [band["label"] for band in rep.bands]
             # Doob's labels carry the block's own lambda values: key them by grid slot

@@ -2,7 +2,8 @@
 
 perfbench/spans.py lists the ones its tracer wraps in ``_WRAPPED`` and
 patches a few more on ModeTable; the workloads and the worker read others
-(``nl.b_batch``, ``nonlinearity.FFT_WORKERS``, ...) on every run.  A refactor
+(``nl.b_batch``, ``nonlinearity.FFT_WORKERS``, ...) on every run and pass keywords to some
+(``dyn.SimConfig(t_end=...)``, ``run_ensemble(phis=...)``, ...).  A refactor
 that renames or drops one of them would only show as a crash of
 ``perfbench/run.py``; these tests make it fail here.
 """
@@ -10,6 +11,7 @@ that renames or drops one of them would only show as a crash of
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +38,17 @@ def test_every_wrapped_attribute_resolves():
     assert isinstance(spectral.mode_table(2)._pad_cache, dict)
 
 
+def navsto_aliases(tree) -> dict:
+    """Local name -> navsto module name, for each `from navsto import ...` of a file."""
+    return {a.asname or a.name: a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "navsto"
+            for a in node.names}
+
+
 def navsto_reads(path: Path) -> set:
     """(module, attribute) of every attribute read on a navsto module alias in one file."""
     tree = ast.parse(path.read_text())
-    alias = {a.asname or a.name: a.name for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and node.module == "navsto"
-             for a in node.names}
+    alias = navsto_aliases(tree)
     return {(alias[node.value.id], node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in alias}
@@ -54,6 +61,37 @@ def test_every_attribute_perfbench_reads_resolves():
     missing = sorted((m, a) for m, a in reads
                      if not hasattr(importlib.import_module(f"navsto.{m}"), a))
     assert not missing
+
+
+def navsto_keywords(path: Path) -> set:
+    """(module, callable, keyword) of every keyword one file passes to a call of a
+    navsto module attribute, and to dataclasses.replace, which perfbench calls on
+    SimConfigs only."""
+    tree = ast.parse(path.read_text())
+    alias = navsto_aliases(tree)
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in alias:
+            target = (alias[f.value.id], f.attr)
+        elif isinstance(f, ast.Name) and f.id == "replace":
+            target = ("dynamics", "SimConfig")
+        else:
+            continue
+        out |= {target + (k.arg,) for k in node.keywords if k.arg is not None}
+    return out
+
+
+def test_every_keyword_perfbench_passes_is_a_parameter():
+    kws = set().union(*(navsto_keywords(p) for p in sorted(SPANS.parent.glob("*.py"))))
+    assert {("dynamics", "SimConfig", "t_end"), ("dynamics", "run_ensemble", "phis"),
+            ("dynamics", "run_ensemble", "x0"), ("dynamics", "run_tangent_ensemble", "precision"),
+            ("verifier", "SweepSpec", "trials")} <= kws
+    unknown = sorted((m, f, k) for m, f, k in kws if k not in inspect.signature(
+        getattr(importlib.import_module(f"navsto.{m}"), f)).parameters)
+    assert not unknown
 
 
 def test_patches_install_and_restore():

@@ -142,6 +142,18 @@ control_paths = 300
         # the suite: the negative control must fail, so the verdict is fail
         assert rc == 1
 
+    def test_verify_energy_takes_any_moment(self, tmp_path):
+        # E^n is formed from H^2 and V^2 when read: moment = 3 needs no other key
+        seeds, text = TINY["verify-energy"]
+        cfgp = write_cfg(tmp_path, text.replace("moment = 2", "moment = 3"))
+        rc = cli.main(["verify-energy", "--config", cfgp, "--seeds", seeds,
+                       "--out", str(tmp_path / "e")])
+        run = next((tmp_path / "e").glob("verify-energy-*"))
+        assert sorted(f.name for f in run.glob("report_E*.json")) == [
+            "report_E1.json", "report_E2.json", "report_E3.json"]
+        verdicts = json.loads((run / "manifest.json").read_text())["verdicts"]
+        assert "energy-supermartingale-E3" in verdicts and rc == 0, verdicts
+
     def test_report_merge(self, tmp_path):
         cfgp = write_cfg(tmp_path, SIM_CFG)
         cli.main(["simulate", "--config", cfgp, "--out", str(tmp_path / "r")])
@@ -316,13 +328,15 @@ def test_rejected_sim_config_is_a_config_error(tmp_path, capsys):
     ("simulate", "q0 = 0.0"),
     ("simulate", "nu = 0.0"),
     ("verify-weak-strong", "weak_strong_r = 0.5"),
-    ("verify-energy", "moment = 3"),
-    ("verify-doob", "moment = 3"),
+    ("verify-energy", "moment = 0"),
+    ("verify-doob", "moment = 0"),
     ("verify-doob", "lambda_count = 0"),
     ("verify-mp2", "checkpoints = 0.002,abc"),
     ("verify-mp2", "checkpoints = 0.0015"),
+    ("verify-mp2", "checkpoints = 0.002,0.001"),
     ("verify-energy", "checkpoints = 0.0015"),
     ("verify-doob", "interval_a = 0.0015"),
+    ("verify-doob", "interval_a = 0.002\ninterval_b = 0.001"),
     ("verify-doob", "phi_modes = 1 0"),
     ("select-demo", "criteria = x"),
     ("sweep-inequalities", "resolutions = 8,x"),

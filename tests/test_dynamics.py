@@ -107,7 +107,7 @@ class TestStep:
 
 class TestEnergyFunctionals:
     def test_e1_zero_at_origin(self):
-        rec = dyn.simulate_path(cfg_small(q0=5.0, seed=4))
+        rec = dyn.run_ensemble(cfg_small(q0=5.0, seed=4), [0]).path(0)
         assert rec.energy_series(1)[0] == 0.0
 
     def test_deterministic_e1_strictly_decreasing(self):
@@ -391,7 +391,7 @@ class TestEnsembleMachinery:
 
     def test_one_path_record_is_a_row_of_the_ensemble(self):
         cfg = dyn.SimConfig(n=3, dt=2e-4, t_end=2e-3, scheme="em", mode="full",
-                            alpha0=0.75, q0=10.0, seed=43, n_max=3)
+                            alpha0=0.75, q0=10.0, seed=43)
         rec = dyn.run_ensemble(cfg, np.arange(5), keep_series=True)
         one = rec.path(3)
         R = float(np.median(rec.w2))
@@ -403,8 +403,8 @@ class TestEnsembleMachinery:
         assert single.h2.tobytes() == rec.h2[3].tobytes()
 
     def test_export_csv_row_count(self, tmp_path):
-        cfg = cfg_small(q0=5.0, snapshot_stride=2)
-        rec = dyn.simulate_path(cfg)
+        cfg = cfg_small(q0=5.0)
+        rec = dyn.run_ensemble(cfg, [0]).path(0)
         p = tmp_path / "path.csv"
         dyn.export_path_csv(rec, p, stride=2)
         rows = p.read_text().splitlines()
@@ -431,17 +431,6 @@ def test_mphi_increment_is_the_noise_pairing_in_cutoff_mode():
         inc = np.diff(rec.mphi[j], axis=1)
         scale = np.abs(np.diff(rec.proj_phi[j], axis=1)).max()
         assert np.abs(inc - sp.pair_with(g, phi.coeffs)).max() <= 1e-12 * scale, phi.name
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_simulate_path_raises_typed_blowup():
-    # strong noise at low viscosity blows path 0 up within the horizon
-    cfg = dyn.SimConfig(n=3, dt=1e-3, t_end=0.02, nu=0.01, scheme="expo-em", q0=1e9)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(dyn.BlowupError) as exc:
-            dyn.simulate_path(cfg)
-    assert exc.value.step > 0
-    assert exc.value.partial_record.blown
 
 
 @pytest.mark.parametrize("mode", ["full", "cutoff", "stokes", "deterministic"])
@@ -707,10 +696,10 @@ ENSEMBLE_CASES = ("expo-em-series", "em-cutoff", "coupled-coarse", "blow-up", "s
 
 def record_rows(rec):
     """The per-path arrays of a record, path axis first, by name."""
-    out = {f: getattr(rec, f) for f in ("final", "h2", "v2", "w2", "int_v2", "series",
+    out = {f: getattr(rec, f) for f in ("final", "h2", "v2", "w2", "series",
                                         "blown", "blow_step")}
-    out.update({f"int_h2nm2_v2[{n}]": a for n, a in rec.int_h2nm2_v2.items()})
-    out.update({f"int_h2nm2[{n}]": a for n, a in rec.int_h2nm2.items()})
+    out["int_v2"] = rec.energy_integrals(1)[0]
+    out["int_h2nm2_v2[2]"], out["int_h2nm2[2]"] = rec.energy_integrals(2)
     out.update({f"{f}[{j}]": a for f in ("mphi", "proj_phi")
                 for j, a in enumerate(getattr(rec, f))})
     return {k: a for k, a in out.items() if a is not None}

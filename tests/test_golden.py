@@ -122,8 +122,8 @@ def em_cutoff_phis_record():
 
 def test_run_ensemble_em_cutoff_phis():
     rec = em_cutoff_phis_record()
-    assert digest(rec.final, rec.h2, rec.v2, rec.w2, rec.int_v2, rec.int_h2nm2_v2[2],
-                  rec.int_h2nm2[2], rec.proj_phi) == (
+    assert digest(rec.final, rec.h2, rec.v2, rec.w2, rec.energy_integrals(1)[0],
+                  *rec.energy_integrals(2), rec.proj_phi) == (
         "4f3eff934c3b061632f70ec0e1f1867fe7c92427ca16cae7b2d9e4a4e199c684")
 
 
@@ -179,7 +179,7 @@ def test_build_control_and_replay_n4():
                   rec.series, rec.h2, rec.v2, rec.w2) == (
         "867953fbe6a890dc808449d219943c50c979debb7b5c1a7431be3b92ac2bb891")
     # the replay's quadrature is the engine's cumsum(dt v2), not cumsum(v2) dt
-    assert digest(rec.int_v2) == (
+    assert digest(rec.energy_integrals(1)[0]) == (
         "1d4b7da7f29b9b2933744d25a7d874064cbac36d8a1b44ee3ce16861fdf27a05")
 
 

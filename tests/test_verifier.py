@@ -108,7 +108,7 @@ class TestEnergy:
     def test_moment_guard(self, mp2_setup):
         cfg, cov, phis, rec = mp2_setup
         with pytest.raises(ValueError):
-            vf.test_energy_supermartingale(rec, 5, CPS)
+            vf.test_energy_supermartingale(rec, 0, CPS)
 
     def test_corrupted_energy_fails(self, mp2_setup):
         # stronger noise than booked: E1 drifts up, out of the two-sided band
@@ -134,10 +134,10 @@ class TestDoob:
         assert lhs == 0.0 and rep.verdict == "pass"
 
     def test_moment_guard(self, mp2_setup):
-        # the record tracks E^1..E^n_max (n_max = 2) for energy_series and Doob alike
+        # E^n exists for n >= 1, for energy_series and Doob alike
         cfg, cov, phis, rec = mp2_setup
-        with pytest.raises(ValueError, match="beyond tracked n_max"):
-            vf.test_doob(rec, 3, (0.003, 0.012), [1.0])
+        with pytest.raises(ValueError, match="must be >= 1"):
+            vf.test_doob(rec, 0, (0.003, 0.012), [1.0])
 
     def test_degenerate_zero_paths(self):
         cfg = dyn.SimConfig(n=2, dt=1e-3, t_end=0.004, scheme="em",
@@ -267,7 +267,8 @@ class TestBandRule:
         h2[3, i] = np.nan
         bad = dc_replace(rec, mphi=mphi, h2=h2)
         # phi1's windows on either side of 0.006 see the NaN increment, and the
-        # window starting there sees the NaN H2 of every phi
+        # window starting there sees the NaN H2 of every phi; E^2's running
+        # integrals carry it into every later window
         cases = [
             (lambda r: vf.test_mp2_martingale(r, phis, CPS, cov),
              {"mean[phi1@t=0.006]", "varratio[phi1@t=0.006]",
@@ -277,7 +278,7 @@ class TestBandRule:
             (lambda r: vf.test_energy_supermartingale(r, 1, CPS),
              {"meanE1@t=0.006", "incE1@(0.003,0.006)", "incE1@(0.006,0.009)"}),
             (lambda r: vf.test_energy_supermartingale(r, 2, CPS),
-             {"incE2@(0.003,0.006)", "incE2@(0.006,0.009)"}),
+             {"incE2@(0.003,0.006)", "incE2@(0.006,0.009)", "incE2@(0.009,0.012)"}),
         ]
         for run, labels in cases:
             clean, broken = run(rec), run(bad)
